@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables/figures (see DESIGN.md's
-experiment index) and prints the rows it produces, so running
+Each benchmark regenerates one of the paper's tables/figures or guards one
+hot path (see docs/performance.md, "Benchmark methodology", and the
+architecture notes in docs/architecture.md) and prints the rows it
+produces, so running
 
     pytest benchmarks/ --benchmark-only -s
 

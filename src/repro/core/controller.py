@@ -5,6 +5,11 @@ current logical-to-physical mapping, applies a migration transform when the
 policy asks for one, charges the migration's cycles and energy, and keeps the
 I/O address translation up to date so the outside world never notices that
 the workload moved.
+
+The mapping is held as one int array, ``task -> node id``.  A migration is a
+gather through the transform's node permutation, and an epoch's power row is
+a scatter of the per-task power array through it; the
+:class:`~repro.placement.mapping.Mapping` view is built only on demand.
 """
 
 from __future__ import annotations
@@ -27,6 +32,16 @@ from ..power.trace import vector_to_map
 
 _OBS_PLANS = _obs_counter("migration.plans")
 _OBS_STAGES = _obs_counter("migration.stages")
+_OBS_COST_HITS = _obs_counter("migration.cost_cache.hits")
+_OBS_COST_MISSES = _obs_counter("migration.cost_cache.misses")
+
+#: Per-stage (node step, energy vector) arrays of a lowered plan.
+PlanArrays = Tuple[List[np.ndarray], List[np.ndarray]]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -110,7 +125,17 @@ class RuntimeReconfigurationController:
         self.include_migration_energy = include_migration_energy
         self.cache_migration_costs = cache_migration_costs
 
-        self.current_mapping: Mapping = configuration.static_mapping.copy()
+        per_task_power = configuration.per_task_power()
+        self._task_power = np.array(
+            [per_task_power[task] for task in range(self.topology.num_nodes)],
+            dtype=np.float64,
+        )
+        self._static_permutation = _frozen(
+            np.array(configuration.static_mapping.to_permutation(), dtype=np.int64)
+        )
+        #: task -> node id, the one source of truth for the mapping.  Always
+        #: read-only, so cached permutations are shared safely.
+        self._permutation = self._static_permutation
         self.io_translator = IoAddressTranslator(self.topology)
         self.events: List[MigrationEvent] = []
         self._epoch_index = 0
@@ -120,28 +145,27 @@ class RuntimeReconfigurationController:
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        #: (transform key, mapping permutation) -> (cost, resulting mapping,
-        #: moved-task count).  Mappings are treated as immutable everywhere
-        #: (mutation goes through ``apply_transform``, which returns a new
-        #: one), so the cached result mapping is safe to share.  The cache
-        #: survives :meth:`reset` — costs are independent of history.
+        #: (transform permutation, mapping permutation) bytes -> (cost, next
+        #: permutation, moved-task count, energy vector).  The cache survives
+        #: :meth:`reset` — costs are independent of history.
         self._migration_cache: Dict[
-            Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[MigrationCost, Mapping, int]
+            Tuple[bytes, bytes], Tuple[MigrationCost, np.ndarray, int, np.ndarray]
         ] = {}
-        #: Transform instance -> node-id permutation key (holds a strong
-        #: reference so an ``id()`` is never reused while cached).
-        self._transform_keys: Dict[int, Tuple[MigrationTransform, Tuple[int, ...]]] = {}
         #: Number of full migration-cost computations (cache misses).
         self.migration_cost_computations = 0
         #: Number of migrations served from the cache.
         self.migration_cache_hits = 0
-        # Staged-plan execution state: the in-flight plan (None when idle)
-        # and the index of the next stage to execute.  Like the cost cache,
-        # lowered plans are memoized per (transform, mapping, style, units)
-        # — plans are immutable, so sharing the cached object is safe.
+        # Staged-plan execution state: the in-flight plan (None when idle),
+        # its per-stage arrays and the index of the next stage to execute.
+        # Like the cost cache, lowered plans are memoized per (transform,
+        # mapping, style, units) — plans are immutable, so sharing is safe.
         self._active_plan: Optional[MigrationPlan] = None
+        self._active_arrays: PlanArrays = ([], [])
         self._plan_next_stage = 0
-        self._plan_cache: Dict[Tuple, MigrationPlan] = {}
+        self._plan_cache: Dict[Tuple, Tuple[MigrationPlan, PlanArrays]] = {}
+        #: (cost object, its energy vector) of the last migration or stage
+        #: executed, so :meth:`epoch_power_vector` skips the dict walk.
+        self._issued: Optional[Tuple[object, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -169,9 +193,19 @@ class RuntimeReconfigurationController:
         self.events.clear()
         return drained
 
+    @property
+    def current_permutation(self) -> np.ndarray:
+        """Read-only ``task -> node id`` array of the current mapping."""
+        return self._permutation
+
+    @property
+    def current_mapping(self) -> Mapping:
+        """The current mapping, built from :attr:`current_permutation`."""
+        return Mapping.from_permutation(self.topology, self._permutation.tolist())
+
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
-        self.current_mapping = self.configuration.static_mapping.copy()
+        self._permutation = self._static_permutation
         self.io_translator.reset()
         self.events.clear()
         self._epoch_index = 0
@@ -179,7 +213,9 @@ class RuntimeReconfigurationController:
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
         self._active_plan = None
+        self._active_arrays = ([], [])
         self._plan_next_stage = 0
+        self._issued = None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -192,7 +228,7 @@ class RuntimeReconfigurationController:
         drained state, not carried state).
         """
         state: Dict[str, object] = {
-            "mapping": self.current_mapping.to_permutation(),
+            "mapping": self._permutation.tolist(),
             "epoch_index": self._epoch_index,
             "migrations": self._migration_count,
             "migration_cycles": self._migration_cycles,
@@ -211,61 +247,66 @@ class RuntimeReconfigurationController:
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`state_dict`."""
-        self.current_mapping = Mapping.from_permutation(
-            self.topology, [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
-        )
+        permutation = [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
+        if sorted(permutation) != list(range(self.topology.num_nodes)):
+            raise ValueError("permutation must be a rearrangement of all node ids")
+        self._permutation = _frozen(np.array(permutation, dtype=np.int64))
         self._epoch_index = int(state["epoch_index"])  # type: ignore[arg-type]
         self._migration_count = int(state["migrations"])  # type: ignore[arg-type]
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
         self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
         self.events.clear()
+        self._issued = None
         plan_state = state.get("plan")
         if plan_state is None:
             self._active_plan = None
+            self._active_arrays = ([], [])
             self._plan_next_stage = 0
         else:
             self._active_plan = MigrationPlan.from_dict(
                 plan_state["plan"], self.topology  # type: ignore[index]
             )
+            self._active_arrays = self._plan_arrays(self._active_plan)
             self._plan_next_stage = int(plan_state["next_stage"])  # type: ignore[index]
 
     # ------------------------------------------------------------------
-    def _transform_key(self, transform: MigrationTransform) -> Tuple[int, ...]:
-        """Node-id permutation identifying a transform (memoized by instance)."""
-        entry = self._transform_keys.get(id(transform))
-        if entry is not None and entry[0] is transform:
-            return entry[1]
-        topology = self.topology
-        key = tuple(
-            topology.node_id(transform(coord)) for coord in topology.coordinates()
-        )
-        self._transform_keys[id(transform)] = (transform, key)
-        return key
+    def _energy_vector(self, energy_per_unit_j: Dict[Coordinate, float]) -> np.ndarray:
+        """Row-major per-PE migration energy (J) of one cost object."""
+        vector = np.zeros(self.topology.num_nodes, dtype=np.float64)
+        node_id = self.topology.node_id
+        for coord, energy in energy_per_unit_j.items():
+            vector[node_id(coord)] = energy
+        return vector
 
     def _migration_outcome(
         self, transform: MigrationTransform
-    ) -> Tuple[MigrationCost, Mapping, int]:
-        """(cost, new mapping, moved tasks) of applying ``transform`` now.
+    ) -> Tuple[MigrationCost, np.ndarray, int, np.ndarray]:
+        """(cost, next permutation, moved tasks, energy vector) of ``transform``.
 
-        The triple is a pure function of (transform, current mapping); with
-        caching enabled a repeated pair skips the ``tanner_nodes_per_pe``
-        rebuild and the scheduler entirely.
+        A pure function of (transform, current mapping); with caching
+        enabled a repeated pair skips the ``tanner_nodes_per_pe`` rebuild
+        and the scheduler entirely.
         """
-        key = (
-            self._transform_key(transform),
-            tuple(self.current_mapping.to_permutation()),
-        )
+        step = transform.node_permutation()
+        key = (step.tobytes(), self._permutation.tobytes())
         cached = self._migration_cache.get(key) if self.cache_migration_costs else None
         if cached is not None:
             self.migration_cache_hits += 1
+            _OBS_COST_HITS.add()
             return cached
         nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
         cost = self.migration_unit.migration_cost(transform, nodes_per_pe)
-        new_mapping = self.current_mapping.apply_transform(transform)
-        moved = len(self.current_mapping.moved_tasks(new_mapping))
+        next_permutation = _frozen(step[self._permutation])
+        moved = int(np.count_nonzero(next_permutation != self._permutation))
         self.migration_cost_computations += 1
-        outcome = (cost, new_mapping, moved)
+        _OBS_COST_MISSES.add()
+        outcome = (
+            cost,
+            next_permutation,
+            moved,
+            self._energy_vector(cost.energy_per_unit_j),
+        )
         if self.cache_migration_costs:
             self._migration_cache[key] = outcome
         return outcome
@@ -276,9 +317,12 @@ class RuntimeReconfigurationController:
         """Apply ``transform`` to the current mapping and account its cost."""
         if epoch_index is None:
             epoch_index = self._epoch_index
-        cost, new_mapping, moved = self._migration_outcome(transform)
-        self.current_mapping = new_mapping
+        cost, next_permutation, moved, energy_vector = self._migration_outcome(
+            transform
+        )
+        self._permutation = next_permutation
         self.io_translator.record_migration(transform)
+        self._issued = (cost, energy_vector)
 
         energy = cost.total_energy_j if self.include_migration_energy else 0.0
         self.events.append(
@@ -311,12 +355,24 @@ class RuntimeReconfigurationController:
     def plan_next_stage(self) -> int:
         return self._plan_next_stage
 
+    def _plan_arrays(self, plan: MigrationPlan) -> PlanArrays:
+        """Per-stage node steps (node -> node) and energy vectors of a plan."""
+        node_id = self.topology.node_id
+        steps: List[np.ndarray] = []
+        for stage in plan.stages:
+            step = np.arange(self.topology.num_nodes, dtype=np.int64)
+            for source, destination in stage.mapping_moves().items():
+                step[node_id(source)] = node_id(destination)
+            steps.append(_frozen(step))
+        vectors = [self._energy_vector(stage.energy_per_unit_j) for stage in plan.stages]
+        return steps, vectors
+
     def _lowered_plan(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
-    ) -> MigrationPlan:
+    ) -> Tuple[MigrationPlan, PlanArrays]:
         key = (
-            self._transform_key(transform),
-            tuple(self.current_mapping.to_permutation()),
+            transform.node_permutation().tobytes(),
+            self._permutation.tobytes(),
             style,
             units_per_epoch,
         )
@@ -337,9 +393,10 @@ class RuntimeReconfigurationController:
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
+        lowered = (plan, self._plan_arrays(plan))
         if self.cache_migration_costs:
-            self._plan_cache[key] = plan
-        return plan
+            self._plan_cache[key] = lowered
+        return lowered
 
     def begin_plan(
         self,
@@ -358,8 +415,9 @@ class RuntimeReconfigurationController:
                 "a migration plan is already in progress; "
                 "advance it to completion before beginning another"
             )
-        plan = self._lowered_plan(transform, style, units_per_epoch)
+        plan, arrays = self._lowered_plan(transform, style, units_per_epoch)
         self._active_plan = plan
+        self._active_arrays = arrays
         self._plan_next_stage = 0
         self._migration_count += 1
         _OBS_PLANS.add()
@@ -386,15 +444,10 @@ class RuntimeReconfigurationController:
         index = self._plan_next_stage
         stage = plan.stages[index]
         cycles = priced_stage_cycles(stage, congestion)
+        steps, vectors = self._active_arrays
         moves = stage.mapping_moves()
         if moves:
-            self.current_mapping = Mapping(
-                self.topology,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in self.current_mapping.physical_of_task.items()
-                },
-            )
+            self._permutation = _frozen(steps[index][self._permutation])
             self.io_translator.record_moves(
                 moves, f"{plan.transform_name}[{index + 1}/{plan.num_stages}]"
             )
@@ -416,8 +469,9 @@ class RuntimeReconfigurationController:
         self._plan_next_stage = index + 1
         if self._plan_next_stage >= plan.num_stages:
             self._active_plan = None
+            self._active_arrays = ([], [])
             self._plan_next_stage = 0
-        return StageCost(
+        cost = StageCost(
             cycles=cycles,
             total_energy_j=energy,
             energy_per_unit_j=dict(stage.energy_per_unit_j),
@@ -425,6 +479,8 @@ class RuntimeReconfigurationController:
             stage_index=index,
             stage_count=plan.num_stages,
         )
+        self._issued = (cost, vectors[index])
+        return cost
 
     def advance_epoch(self) -> int:
         """Mark the end of an epoch; returns the new epoch index."""
@@ -447,13 +503,15 @@ class RuntimeReconfigurationController:
         """
         if period_s <= 0:
             raise ValueError("epoch period must be positive")
-        power = self.configuration.power_vector(self.current_mapping)
+        power = np.zeros(self.topology.num_nodes, dtype=np.float64)
+        power[self._permutation] = self._task_power
         if migration_cost is not None and self.include_migration_energy:
-            topology = self.topology
-            for coord, energy in migration_cost.energy_per_unit_j.items():
-                if energy == 0.0:
-                    continue
-                power[topology.node_id(coord)] += energy / period_s
+            issued = self._issued
+            if issued is not None and issued[0] is migration_cost:
+                energy = issued[1]
+            else:
+                energy = self._energy_vector(migration_cost.energy_per_unit_j)
+            power += energy / period_s
         return power
 
     def epoch_power_map(

@@ -15,8 +15,9 @@ on ingress and back to the original view on egress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.topology import Coordinate, MeshTopology
@@ -24,14 +25,16 @@ from .transforms import MigrationTransform
 
 
 class IoAddressTranslator:
-    """Maintains the cumulative coordinate map across migrations."""
+    """Maintains the cumulative coordinate map across migrations.
+
+    The map is an int array, ``original node id -> current node id``; every
+    recorded migration composes a node permutation onto it with one gather.
+    """
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
-        #: original (design-time) coordinate -> current physical coordinate
-        self._current_of_original: Dict[Coordinate, Coordinate] = {
-            coord: coord for coord in topology.coordinates()
-        }
+        self._coords = tuple(topology.coordinates())
+        self._current_of_original = np.arange(topology.num_nodes, dtype=np.int64)
         self._history: List[str] = []
         self._applied = 0
 
@@ -45,14 +48,15 @@ class IoAddressTranslator:
         """Names of the transforms applied since the last compaction."""
         return list(self._history)
 
+    def _compose(self, step: Sequence[int], label: str) -> None:
+        """Move every workload along ``step`` (current node -> next node)."""
+        self._current_of_original = np.asarray(step)[self._current_of_original]
+        self._history.append(label)
+        self._applied += 1
+
     def record_migration(self, transform: MigrationTransform) -> None:
         """Compose ``transform`` onto the cumulative map."""
-        self._current_of_original = {
-            original: transform(current)
-            for original, current in self._current_of_original.items()
-        }
-        self._history.append(transform.name)
-        self._applied += 1
+        self._compose(transform.node_permutation(), transform.name)
 
     def record_moves(
         self, moves: Dict[Coordinate, Coordinate], label: str
@@ -71,12 +75,11 @@ class IoAddressTranslator:
                 "stage moves must be a closed relocation "
                 "(source set must equal destination set)"
             )
-        self._current_of_original = {
-            original: moves.get(current, current)
-            for original, current in self._current_of_original.items()
-        }
-        self._history.append(label)
-        self._applied += 1
+        node_id = self.topology.node_id
+        step = list(range(self.topology.num_nodes))
+        for source, destination in moves.items():
+            step[node_id(source)] = node_id(destination)
+        self._compose(step, label)
 
     def compact_history(self) -> None:
         """Drop the per-migration name log, keeping the cumulative map.
@@ -90,9 +93,7 @@ class IoAddressTranslator:
 
     def reset(self) -> None:
         """Forget all migrations (chip returns to the design-time layout)."""
-        self._current_of_original = {
-            coord: coord for coord in self.topology.coordinates()
-        }
+        self._current_of_original = np.arange(self.topology.num_nodes, dtype=np.int64)
         self._history.clear()
         self._applied = 0
 
@@ -100,38 +101,29 @@ class IoAddressTranslator:
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (cumulative map as a permutation)."""
         return {
-            "permutation": [
-                self.topology.node_id(self._current_of_original[coord])
-                for coord in self.topology.coordinates()
-            ],
+            "permutation": self._current_of_original.tolist(),
             "applied": self._applied,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`state_dict` (the name log is not restored)."""
-        coords = list(self.topology.coordinates())
         permutation = [int(node) for node in state["permutation"]]  # type: ignore[union-attr]
-        if sorted(permutation) != list(range(len(coords))):
+        if sorted(permutation) != list(range(self.topology.num_nodes)):
             raise ValueError("translator permutation must cover every node id")
-        self._current_of_original = {
-            coords[index]: coords[node] for index, node in enumerate(permutation)
-        }
+        self._current_of_original = np.array(permutation, dtype=np.int64)
         self._history = []
         self._applied = int(state["applied"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def current_location(self, original: Coordinate) -> Coordinate:
         """Where the workload originally at ``original`` currently lives."""
-        if original not in self._current_of_original:
-            raise ValueError(f"coordinate {original} outside mesh")
-        return self._current_of_original[original]
+        node = self.topology.node_id(original)  # ValueError outside the mesh
+        return self._coords[self._current_of_original[node]]
 
     def original_location(self, current: Coordinate) -> Coordinate:
         """The design-time coordinate of the workload now at ``current``."""
-        for original, location in self._current_of_original.items():
-            if location == current:
-                return original
-        raise ValueError(f"coordinate {current} outside mesh")
+        node = self.topology.node_id(current)  # ValueError outside the mesh
+        return self._coords[int(np.flatnonzero(self._current_of_original == node)[0])]
 
     # ------------------------------------------------------------------
     def translate_incoming(self, packet: Packet) -> Packet:

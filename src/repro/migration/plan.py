@@ -344,9 +344,9 @@ def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
     """Latency inflation of migration traffic under the epoch's NoC load.
 
     The analytic wormhole model's average latency at the epoch's injection
-    rate, relative to zero load.  Rates at or past saturation price at the
-    last validated point (the same capping as
-    :func:`repro.scenarios.noc_cost.rate_noc_latencies`).  Returns ``1.0``
+    rate, relative to its precomputed zero-load latency (one probe per
+    call).  Rates at or past saturation price at the last validated point
+    (the same capping as :func:`repro.scenarios.noc_cost.rate_noc_latencies`).  Returns ``1.0``
     when no pricing model or rate is available, so unpriced runs keep the
     deterministic congestion-free cycle counts.
     """
@@ -358,7 +358,7 @@ def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
     saturation = float(noc_model.saturation_rate)
     capped = min(rate, math.nextafter(saturation, 0.0))
     loaded = float(noc_model.probe(capped).avg_latency)
-    base = float(noc_model.probe(0.0).avg_latency)
+    base = float(noc_model.zero_load_latency)
     if not (base > 0.0) or not math.isfinite(loaded):
         return 1.0
     return max(1.0, loaded / base)

@@ -28,6 +28,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..noc.topology import Coordinate, MeshTopology
 
 
@@ -56,6 +58,24 @@ class MigrationTransform(ABC):
     def as_permutation(self) -> Dict[Coordinate, Coordinate]:
         """The full old-coordinate -> new-coordinate map."""
         return {coord: self(coord) for coord in self.topology.coordinates()}
+
+    def node_permutation(self) -> np.ndarray:
+        """Read-only ``old node id -> new node id`` array (built once).
+
+        The integer form of :meth:`as_permutation`: composing it onto a
+        task -> node array (``step[perm]``) applies the transform to a whole
+        mapping in one gather.
+        """
+        cached = getattr(self, "_node_permutation", None)
+        if cached is None:
+            topology = self.topology
+            cached = np.array(
+                [topology.node_id(self(coord)) for coord in topology.coordinates()],
+                dtype=np.int64,
+            )
+            cached.flags.writeable = False
+            self._node_permutation = cached
+        return cached
 
     def fixed_points(self) -> List[Coordinate]:
         """Coordinates whose workload does not move under this transform.

@@ -178,7 +178,16 @@ class AnalyticPoint:
 
 
 class _AnalyticModel:
-    """Pattern/topology-specific pieces that do not depend on the rate."""
+    """Pattern/topology-specific pieces that do not depend on the rate.
+
+    The per-flow latency sum ``sum_f p_f * (zero_load_f + sum_{c in f}
+    wait_c)`` splits into a rate-free zero-load part and ``wait . W``, where
+    ``W[c]`` is the summed probability of the flows crossing channel ``c``
+    (with multiplicity) — which is also the channel's per-unit-rate packet
+    load.  ``W``, the zero-load sum and the total probability are built once
+    here, so :meth:`evaluate` is a few O(channels) array operations and one
+    dot product, whatever the number of flows.
+    """
 
     def __init__(
         self,
@@ -192,23 +201,25 @@ class _AnalyticModel:
         probs = destination_probabilities(pattern, topology, **pattern_kwargs)
         flows = _flow_channels(topology, routing)
         n = topology.num_nodes
-        # Per-unit-rate packet load on every channel.
+        # Per-unit-rate packet load on every channel (``W``).
         loads = np.zeros(n * 5, dtype=np.float64)
-        self.flow_probs: List[float] = []
-        self.flow_channels: List[np.ndarray] = []
-        self.flow_hops: List[int] = []
+        total_p = zero_load_sum = 0.0
         for (s, d), channels in flows.items():
             p = probs[s, d]
             if p <= 0.0:
                 continue
             idx = np.asarray(channels, dtype=np.int64)
-            loads[idx] += p
-            self.flow_probs.append(p)
-            self.flow_channels.append(idx)
-            self.flow_hops.append(len(channels) - 1)  # last entry is ejection
-        if not self.flow_probs:
+            np.add.at(loads, idx, p)
+            hops = len(channels) - 1  # last entry is ejection
+            zero_load_sum += p * (hops + packet_size_flits + 1)
+            total_p += p
+        if total_p == 0.0:
             raise ValueError("traffic pattern generates no packets on this mesh")
         self.unit_loads = loads
+        self.total_probability = total_p
+        self.zero_load_sum = zero_load_sum
+        #: Mean latency at vanishing load; equals ``evaluate(0.0).avg_latency``.
+        self.zero_load_latency = zero_load_sum / total_p
         self.capacity_rate = 1.0 / (packet_size_flits * float(loads.max()))
         self.saturation_rate = WORMHOLE_BLOCKING_FACTOR * self.capacity_rate
 
@@ -228,16 +239,10 @@ class _AnalyticModel:
         # M/D/1 waiting time per channel, deterministic service of L cycles,
         # scaled for the discrete (sub-Poisson) arrival process.
         wait = ARRIVAL_DISCRETISATION * util * size / (2.0 * (1.0 - util))
-        total_p = total_latency = 0.0
-        for p, channels, hops in zip(
-            self.flow_probs, self.flow_channels, self.flow_hops
-        ):
-            zero_load = hops + size + 1
-            total_latency += p * (zero_load + float(wait[channels].sum()))
-            total_p += p
+        total_latency = self.zero_load_sum + float(wait @ self.unit_loads)
         return AnalyticPoint(
             injection_rate=injection_rate,
-            avg_latency=total_latency / total_p,
+            avg_latency=total_latency / self.total_probability,
             saturation_rate=self.saturation_rate,
             capacity_rate=self.capacity_rate,
             saturated=injection_rate >= self.saturation_rate,

@@ -10,23 +10,44 @@ A routing function maps ``(current, destination)`` to the output
 :class:`~repro.noc.topology.Direction` a head flit should take.  Adaptive
 algorithms return the full set of permitted directions; the router picks the
 least congested one.
+
+Deterministic routes (:meth:`RoutingAlgorithm.path`) are a pure function of
+the algorithm class and the mesh, so they are served from a process-wide
+per-(class, mesh) table of immutable tuples, built once under the same lock
+discipline as the analytic-model cache in :mod:`repro.scenarios.noc_cost`:
+a global lock guards the dicts, a short-lived per-key lock serializes
+threads building the *same* table, and distinct keys build in parallel.
 """
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .topology import Coordinate, Direction, MeshTopology
 
+Route = Tuple[Coordinate, ...]
+RouteTable = Dict[Tuple[Coordinate, Coordinate], Route]
+
+#: (routing class, mesh) -> {(source, destination): route}.
+_ROUTE_TABLES: Dict[Tuple[type, MeshTopology], RouteTable] = {}
+_ROUTE_TABLE_KEY_LOCKS: Dict[Tuple[type, MeshTopology], threading.Lock] = {}
+_ROUTE_TABLE_LOCK = threading.Lock()
+
 
 class RoutingAlgorithm(ABC):
-    """Base class for mesh routing functions."""
+    """Base class for mesh routing functions.
+
+    :meth:`candidate_outputs` must be a pure function of the coordinates and
+    the mesh: :meth:`path` tables routes per (class, mesh).
+    """
 
     name: str = "abstract"
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
+        self._routes: Optional[RouteTable] = None
 
     @abstractmethod
     def candidate_outputs(
@@ -41,12 +62,24 @@ class RoutingAlgorithm(ABC):
         """Deterministic routing decision (first candidate)."""
         return self.candidate_outputs(current, destination)[0]
 
-    def path(self, source: Coordinate, destination: Coordinate) -> List[Coordinate]:
+    def path(self, source: Coordinate, destination: Coordinate) -> Route:
         """Full deterministic path including both endpoints.
 
         Useful for computing link utilisation analytically and for the
-        congestion-free migration schedule.
+        congestion-free migration schedule.  The returned tuple is shared
+        with every other caller of the same (class, mesh) route table.
         """
+        table = getattr(self, "_routes", None)
+        if table is None:
+            table = self._routes = _route_table(self)
+        route = table.get((source, destination))
+        if route is None:
+            # Off-mesh endpoints and unroutable pairs raise from the walk.
+            return self._walk(source, destination)
+        return route
+
+    def _walk(self, source: Coordinate, destination: Coordinate) -> Route:
+        """Follow :meth:`route` hop by hop from ``source`` to ``destination``."""
         path = [source]
         current = source
         # A deterministic minimal route takes at most diameter hops.
@@ -62,7 +95,7 @@ class RoutingAlgorithm(ABC):
             raise RuntimeError(
                 f"{self.name} routing did not reach {destination} from {source}"
             )
-        return path
+        return tuple(path)
 
     # ------------------------------------------------------------------
     def _productive_directions(
@@ -199,6 +232,43 @@ class OddEvenRouting(RoutingAlgorithm):
         if not candidates:
             candidates = self._productive_directions(current, destination)
         return candidates
+
+
+def _build_route_table(routing: RoutingAlgorithm) -> RouteTable:
+    """Every routable (source, destination) pair of ``routing``'s mesh.
+
+    Pairs whose walk fails are left out, so :meth:`RoutingAlgorithm.path`
+    raises for them as before.
+    """
+    coords = list(routing.topology.coordinates())
+    table: RouteTable = {}
+    for source in coords:
+        for destination in coords:
+            try:
+                table[(source, destination)] = routing._walk(source, destination)
+            except (RuntimeError, ValueError):
+                continue
+    return table
+
+
+def _route_table(routing: RoutingAlgorithm) -> RouteTable:
+    """The shared route table of ``routing``'s (class, mesh), built once."""
+    key = (type(routing), routing.topology)
+    with _ROUTE_TABLE_LOCK:
+        cached = _ROUTE_TABLES.get(key)
+        if cached is not None:
+            return cached
+        key_lock = _ROUTE_TABLE_KEY_LOCKS.setdefault(key, threading.Lock())
+    with key_lock:
+        with _ROUTE_TABLE_LOCK:
+            cached = _ROUTE_TABLES.get(key)
+        if cached is not None:
+            return cached
+        table = _build_route_table(routing)
+        with _ROUTE_TABLE_LOCK:
+            _ROUTE_TABLES[key] = table
+            _ROUTE_TABLE_KEY_LOCKS.pop(key, None)
+        return table
 
 
 _ALGORITHMS = {

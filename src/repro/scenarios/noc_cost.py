@@ -27,6 +27,7 @@ import numpy as np
 
 from ..noc.analytic import AnalyticPoint, _AnalyticModel
 from ..noc.topology import MeshTopology
+from ..obs import counter as _obs_counter
 
 __all__ = [
     "NocCostModel",
@@ -40,6 +41,9 @@ __all__ = [
 _MODEL_CACHE: Dict[Tuple, _AnalyticModel] = {}
 _MODEL_KEY_LOCKS: Dict[Tuple, threading.Lock] = {}
 _MODEL_CACHE_LOCK = threading.Lock()
+
+_OBS_MODEL_HITS = _obs_counter("noc.model_cache.hits")
+_OBS_MODEL_BUILDS = _obs_counter("noc.model_cache.builds")
 
 
 def _freeze(value):
@@ -74,12 +78,14 @@ def _get_model(
     with _MODEL_CACHE_LOCK:
         cached = _MODEL_CACHE.get(key)
         if cached is not None:
+            _OBS_MODEL_HITS.add()
             return cached
         key_lock = _MODEL_KEY_LOCKS.setdefault(key, threading.Lock())
     with key_lock:
         with _MODEL_CACHE_LOCK:
             cached = _MODEL_CACHE.get(key)
         if cached is not None:
+            _OBS_MODEL_HITS.add()
             return cached
         kwargs = dict(pattern_kwargs)
         if "hotspots" in kwargs:
@@ -94,6 +100,7 @@ def _get_model(
         with _MODEL_CACHE_LOCK:
             _MODEL_CACHE[key] = model
             _MODEL_KEY_LOCKS.pop(key, None)
+        _OBS_MODEL_BUILDS.add()
         return model
 
 
@@ -111,7 +118,7 @@ def noc_cost_probe(
 
     The first call for a (mesh, pattern, routing, packet size) builds and
     caches the channel-load model; every further rate evaluates in a few
-    array operations.
+    O(channels) array operations and one dot product.
     """
     model = _get_model(
         width, height, pattern, routing, packet_size_flits, pattern_kwargs
@@ -131,8 +138,7 @@ class NocCostModel:
     routing: str = "xy"
     pattern_kwargs: dict = field(default_factory=dict)
 
-    @property
-    def saturation_rate(self) -> float:
+    def _model(self) -> _AnalyticModel:
         return _get_model(
             self.width,
             self.height,
@@ -140,7 +146,16 @@ class NocCostModel:
             self.routing,
             self.packet_size_flits,
             self.pattern_kwargs,
-        ).saturation_rate
+        )
+
+    @property
+    def saturation_rate(self) -> float:
+        return self._model().saturation_rate
+
+    @property
+    def zero_load_latency(self) -> float:
+        """Mean latency at vanishing load (``probe(0.0).avg_latency``)."""
+        return self._model().zero_load_latency
 
     def probe(self, injection_rate: float) -> AnalyticPoint:
         return noc_cost_probe(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from repro.campaign import (
     job_cache_key,
     modules_for_spec,
 )
-from repro.scenarios import NocChannel, ScenarioSpec
+from repro.campaign.cache import import_closure
+from repro.scenarios import NocChannel, ScenarioSpec, get_scenario
 from repro.scenarios.patterns import RampPattern
 
 from test_campaign_spec import cheap_scenario
@@ -79,6 +81,68 @@ class TestCodeFingerprint:
         assert len(fingerprint) == 64
         # Memoized: the second call must agree.
         assert code_fingerprint(("core", "ldpc", "noc")) == fingerprint
+
+
+class TestEvaluationPathFingerprint:
+    """Every module a plain job's evaluation imports is bound into its key."""
+
+    def _package_copy(self, tmp_path: Path) -> Path:
+        import repro
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).resolve().parent,
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def _key(self, spec, root: Path) -> str:
+        return job_cache_key(spec, code_fingerprint(modules_for_spec(spec), root))
+
+    def test_closure_covers_distillation_and_migration_routing(self, tmp_path):
+        closure = import_closure(self._package_copy(tmp_path))
+        for module in (
+            "campaign/spec.py",
+            "noc/routing.py",
+            "noc/topology.py",
+            "core/controller.py",
+        ):
+            assert module in closure
+        # The streaming engine is imported lazily; its group covers it.
+        assert not any(rel.startswith("stream/") for rel in closure)
+
+    @pytest.mark.parametrize("module", ["noc/routing.py", "campaign/spec.py"])
+    def test_editing_evaluation_module_changes_plain_job_key(self, tmp_path, module):
+        root = self._package_copy(tmp_path)
+        spec = get_scenario("steady-baseline")
+        assert modules_for_spec(spec) == ("core",)
+        before = self._key(spec, root)
+        assert self._key(spec, root) == before
+        with open(root / module, "a", encoding="utf-8") as handle:
+            handle.write("\n# edited\n")
+        assert self._key(spec, root) != before
+
+    def test_one_module_per_reached_subpackage_is_bound(self, tmp_path):
+        root = self._package_copy(tmp_path)
+        spec = get_scenario("steady-baseline")
+        sampled = {}
+        for rel in import_closure(root):
+            sampled.setdefault(rel.split("/")[0], rel)
+        assert {"chips", "core", "ldpc", "migration", "noc", "obs"} <= set(sampled)
+        keys = {self._key(spec, root)}
+        for module in sampled.values():
+            with open(root / module, "a", encoding="utf-8") as handle:
+                handle.write("\n# edited\n")
+            keys.add(self._key(spec, root))
+        assert len(keys) == len(sampled) + 1
+
+    def test_unreached_module_leaves_key_alone(self, tmp_path):
+        root = self._package_copy(tmp_path)
+        spec = get_scenario("steady-baseline")
+        before = self._key(spec, root)
+        (root / "stream" / "engine.py").write_text("# edited\n")
+        assert self._key(spec, root) == before
 
 
 class TestJobCacheKey:
