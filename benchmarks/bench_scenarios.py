@@ -246,8 +246,9 @@ def test_scenario_suite_multicore(benchmark):
     """Experiment S4 — the registry suite across every core (thread pool).
 
     The ROADMAP's multi-core record: scenario tasks are GIL-releasing
-    multi-RHS solves and batched decodes, so the thread pool (now the
-    ScenarioRunner default) can use the host's cores without pickling.
+    multi-RHS solves and batched decodes, so the thread pool that
+    ``compare_scenarios`` fans out over can use the host's cores without
+    pickling.
     Recorded against the serial suite from ``scenarios.compare.registry``;
     on 1-CPU hosts this honestly records ~1x.
     """

@@ -7,12 +7,6 @@ from .export import (
     figure1_to_json,
     period_sweep_to_csv,
 )
-from .runner import (
-    resolve_jobs,
-    run_experiment_grid,
-    run_parallel,
-    run_single_experiment,
-)
 from .report import (
     FIGURE1_SETTINGS,
     Figure1Cell,
@@ -29,6 +23,7 @@ from .sweep import (
     PeriodSweepResult,
     run_energy_ablation,
     run_period_sweep,
+    run_single_experiment,
 )
 from .thermal_map import difference_map, render_grid, render_heat_bar, to_csv
 
@@ -51,9 +46,6 @@ __all__ = [
     "PeriodSweepResult",
     "run_energy_ablation",
     "run_period_sweep",
-    "resolve_jobs",
-    "run_experiment_grid",
-    "run_parallel",
     "run_single_experiment",
     "difference_map",
     "render_grid",

@@ -12,7 +12,8 @@ output lines up column-for-column with single-run output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from ..core.experiment import ExperimentSettings, ThermalExperiment
 from ..core.metrics import ExperimentResult
 from ..core.policy import NoMigrationPolicy, PeriodicMigrationPolicy
 from ..migration.transforms import FIGURE1_SCHEMES
-from ..scenarios.compile import ScenarioResult
+from ..scenarios.compile import ScenarioResult, run_scenario
 from ..scenarios.registry import all_scenarios
 from ..scenarios.spec import ScenarioSpec
 
@@ -238,29 +239,33 @@ class ScenarioComparison:
 def compare_scenarios(
     specs: Optional[Sequence[ScenarioSpec]] = None,
     n_jobs: Optional[int] = None,
-    executor: str = "thread",
     feedback_stride: Optional[int] = None,
     feedback_predictor: Optional[str] = None,
 ) -> ScenarioComparison:
     """Run a scenario suite (default: the whole registry) and collect rows.
 
-    The suite fans out across the persistent worker pools when ``n_jobs``
-    asks for parallelism (GIL-releasing thread workers by default — see
-    :class:`repro.analysis.runner.ScenarioRunner`); results keep suite
-    order either way.  ``feedback_stride`` / ``feedback_predictor``
-    override every spec's feedback refresh settings for the whole suite.
+    ``n_jobs`` fans the suite out over thread workers (see
+    :func:`repro.campaign.executor.run_tasks`): the scenario hot paths are
+    GIL-releasing LAPACK solves and batched decodes, and threads share the
+    process-wide decoder-probe and configuration caches.  Results keep suite
+    order either way.  ``feedback_stride`` / ``feedback_predictor`` override
+    every spec's feedback refresh settings for the whole suite.
     """
-    from .runner import ScenarioRunner
+    # Imported here: repro.campaign imports this module (format_rows).
+    from ..campaign.executor import run_tasks
 
     if specs is None:
         specs = all_scenarios()
-    runner = ScenarioRunner(
-        n_jobs=n_jobs,
-        executor=executor,
-        feedback_stride=feedback_stride,
-        feedback_predictor=feedback_predictor,
-    )
-    return ScenarioComparison(results=runner.run(list(specs)))
+    overrides: Dict[str, object] = {}
+    if feedback_stride is not None:
+        overrides["feedback_stride"] = feedback_stride
+    if feedback_predictor is not None:
+        overrides["feedback_predictor"] = feedback_predictor
+    tasks = [partial(run_scenario, replace(spec, **overrides)) for spec in specs]
+    results: List[Optional[ScenarioResult]] = [None] * len(tasks)
+    for index, result in run_tasks(tasks, n_jobs=n_jobs):
+        results[index] = result
+    return ScenarioComparison(results=results)
 
 
 def table1_rows(mesh_size: int = 4) -> List[Dict[str, str]]:

@@ -11,34 +11,37 @@
 3. **Probe the cache** for the remainder: warm re-runs of unchanged
    campaigns are pure cache lookups, performing *zero* scenario
    evaluations.
-4. **Evaluate** the misses — deduplicated by key, fanned across the
-   persistent worker pools via the streaming
-   :func:`~repro.analysis.runner.run_parallel_iter`, each result journaled
-   and published to the cache the moment it completes (so a kill at any
-   point loses at most the in-flight jobs).
+4. **Evaluate** the misses — deduplicated by key, fanned out through
+   :func:`run_tasks`, each result journaled and published to the cache the
+   moment it completes (so a kill at any point loses at most the in-flight
+   jobs).
 5. **Report**: per-axis marginals, written to ``report.json``.
 
-``n_jobs="auto"`` sizes the shard from recorded evidence rather than
-optimism: the ``analysis.scenario_suite.multicore`` entry in
-``BENCH_perf.json`` says what fan-out actually bought on this machine the
-last time the benchmark ran, and the campaign only fans out when that
-recorded speedup cleared 1.05x.  Everything still flows through
-:func:`~repro.analysis.runner.plan_execution`, so cheap grids degrade to
-serial instead of paying dispatch overhead.
+:func:`run_tasks` is the package's one fan-out path: the sweeps, the
+ablation and the DTM comparison are too small to fan out and run as plain
+loops, and ``compare_scenarios`` uses it for scenario suites.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
-from ..analysis.runner import run_parallel_iter
-from ..analysis.sweep import experiment_cost_hint_s
 from ..obs import counter as _obs_counter
 from ..obs import enable as _obs_enable
 from ..obs import enabled as _obs_enabled
@@ -53,9 +56,6 @@ from .cache import ResultCache, code_fingerprint, job_cache_key, modules_for_spe
 from .report import CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
 
-#: Minimum recorded multicore speedup before "auto" fans a campaign out.
-AUTO_SPEEDUP_GATE = 1.05
-
 _LOG = get_logger("campaign")
 
 # Campaign telemetry: how each job was satisfied (journal replay, cache hit,
@@ -64,6 +64,60 @@ _OBS_REPLAYS = _obs_counter("campaign.journal_replays")
 _OBS_CACHE_HITS = _obs_counter("campaign.cache_hits")
 _OBS_EVALUATIONS = _obs_counter("campaign.evaluations")
 _OBS_JOB_TIME = _obs_timer("campaign.job")
+
+T = TypeVar("T")
+
+#: Pool kinds accepted by :func:`run_tasks`.
+EXECUTORS = {"thread": ThreadPoolExecutor, "process": ProcessPoolExecutor}
+
+
+def resolve_workers(n_jobs: Optional[int], num_tasks: int) -> int:
+    """Worker count for ``n_jobs`` over ``num_tasks`` tasks (1 = serial).
+
+    ``None`` or ``1`` is serial, ``-1`` is one worker per CPU and a positive
+    ``n`` caps the count at ``n``; either way never more than the tasks.
+    """
+    if n_jobs is None:
+        return 1
+    if n_jobs == 0 or n_jobs < -1:
+        raise ValueError(
+            f"n_jobs must be a positive integer, -1 or None, not {n_jobs}"
+        )
+    requested = (os.cpu_count() or 1) if n_jobs == -1 else n_jobs
+    return max(1, min(requested, num_tasks))
+
+
+def run_tasks(
+    tasks: Sequence[Callable[[], T]],
+    n_jobs: Optional[int] = None,
+    executor: str = "thread",
+) -> Iterator[Tuple[int, T]]:
+    """Run zero-argument tasks, yielding ``(index, result)`` as each completes.
+
+    A serial plan (see :func:`resolve_workers`) runs the tasks in order,
+    in-process, with no pool.  Otherwise one pool of the ``executor`` kind
+    lives for this call; process tasks must be picklable.  A failing task or
+    an abandoned generator cancels the tasks that have not started before
+    the exception propagates.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose from {sorted(EXECUTORS)}"
+        )
+    workers = resolve_workers(n_jobs, len(tasks))
+    if workers == 1:
+        for index, task in enumerate(tasks):
+            yield index, task()
+        return
+    with EXECUTORS[executor](max_workers=workers) as pool:
+        futures = {pool.submit(task): index for index, task in enumerate(tasks)}
+        try:
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        except BaseException:
+            # GeneratorExit (an abandoned generator) included.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @dataclass
@@ -87,8 +141,9 @@ class CampaignRun:
     dry_run: bool
     wall_s: float
     report: Optional[CampaignReport] = None
-    #: The (workers, executor) plan the run settled on.
-    plan: Tuple[int, str] = field(default=(1, "thread"))
+    #: The (workers, executor) fan-out the evaluations ran on (or, for a
+    #: dry run, would run on); ``(1, "serial")`` means in-process, no pool.
+    plan: Tuple[int, str] = field(default=(1, "serial"))
     #: Registry snapshot (``TelemetrySummary.to_dict()``) taken at the end of
     #: the run; None while telemetry is disabled.
     telemetry: Optional[Dict[str, object]] = None
@@ -96,49 +151,6 @@ class CampaignRun:
     @property
     def completed(self) -> int:
         return sum(1 for result in self.results if result is not None)
-
-
-def _perf_record(path: Optional[Path] = None) -> Optional[Dict[str, object]]:
-    """The recorded scenario-suite multicore entry, if the repo has one."""
-    if path is None:
-        candidate = Path(__file__).resolve()
-        for parent in candidate.parents:
-            if (parent / "BENCH_perf.json").exists():
-                path = parent / "BENCH_perf.json"
-                break
-        else:
-            return None
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    entry = payload.get("hot_paths", {}).get("analysis.scenario_suite.multicore")
-    return entry if isinstance(entry, dict) else None
-
-
-def auto_plan(num_pending: int) -> Tuple[Optional[int], str]:
-    """(n_jobs, executor) sized from recorded multicore evidence.
-
-    No evidence, a single-CPU host, or a recorded speedup below
-    :data:`AUTO_SPEEDUP_GATE` all mean serial — the benchmark history says
-    fan-out does not pay here.  Otherwise the recorded shape (worker count
-    and executor kind) is reused, capped by the pending job count.
-    """
-    cpus = os.cpu_count() or 1
-    if cpus < 2 or num_pending <= 1:
-        return 1, "thread"
-    record = _perf_record()
-    if record is None:
-        # No history yet: fan out over the CPUs and let plan_execution's
-        # cost floors catch degenerate grids.
-        return min(cpus, num_pending), "thread"
-    if float(record.get("speedup", 0.0) or 0.0) < AUTO_SPEEDUP_GATE:
-        return 1, "thread"
-    executor = str(record.get("executor") or "thread")
-    workers = int(record.get("n_jobs") or 0) or cpus
-    if workers < 2:
-        workers = cpus
-    return min(workers, num_pending), executor
 
 
 def _evaluate_payload(
@@ -237,8 +249,8 @@ def compute_job_keys(jobs: List[CampaignJob]) -> Dict[str, str]:
 def run_campaign(
     spec: CampaignSpec,
     directory: Union[str, Path],
-    n_jobs: Union[int, str, None] = "auto",
-    executor: Optional[str] = None,
+    n_jobs: Optional[int] = -1,
+    executor: str = "thread",
     cache_root: Optional[Union[str, Path]] = None,
     dry_run: bool = False,
 ) -> CampaignRun:
@@ -249,6 +261,9 @@ def run_campaign(
     reuse each other's results.  A dry run touches nothing on disk — it
     expands the grid, replays the journal read-only and probes the cache,
     returning the exact evaluation forecast a real run would execute.
+
+    ``n_jobs`` and ``executor`` size the fan-out as in :func:`run_tasks`; the
+    default is one thread worker per CPU.  Results are identical either way.
     """
     with _obs_span("campaign.run", campaign=spec.name, dry_run=dry_run):
         return _run_campaign(
@@ -264,8 +279,8 @@ def run_campaign(
 def _run_campaign(
     spec: CampaignSpec,
     directory: Union[str, Path],
-    n_jobs: Union[int, str, None] = "auto",
-    executor: Optional[str] = None,
+    n_jobs: Optional[int] = -1,
+    executor: str = "thread",
     cache_root: Optional[Union[str, Path]] = None,
     dry_run: bool = False,
 ) -> CampaignRun:
@@ -325,25 +340,17 @@ def _run_campaign(
         by_key.setdefault(keys[job.job_id], []).append(job)
     unique = [group[0] for group in by_key.values()]
 
+    workers = resolve_workers(n_jobs, len(unique))
+    plan = (workers, executor) if workers > 1 else (1, "serial")
     evaluated = 0
     if not dry_run and unique:
-        if n_jobs == "auto":
-            workers, executor_kind = auto_plan(len(unique))
-        else:
-            workers = n_jobs  # type: ignore[assignment]
-            executor_kind = executor or "thread"
-        if executor is not None:
-            executor_kind = executor
-        hint = sum(
-            experiment_cost_hint_s(job.spec.mode, job.spec.num_epochs) for job in unique
-        ) / len(unique)
         collect = _obs_enabled()
         _LOG.info(
             "campaign %s: evaluating %d job(s) on %s x%s",
             spec.name,
             len(unique),
-            executor_kind,
-            workers,
+            plan[1],
+            plan[0],
         )
         tasks = [
             partial(
@@ -358,11 +365,8 @@ def _run_campaign(
             )
             for job in unique
         ]
-        for index, (payload, wall_s, meta) in run_parallel_iter(
-            tasks,
-            n_jobs=workers,
-            executor=executor_kind,
-            est_task_seconds=hint,
+        for index, (payload, wall_s, meta) in run_tasks(
+            tasks, n_jobs=workers, executor=executor
         ):
             evaluated += 1
             _OBS_EVALUATIONS.add()
@@ -388,9 +392,6 @@ def _run_campaign(
                 if job_telemetry:
                     entry["telemetry"] = job_telemetry
                 manifest.append_journal_entry(directory, entry)
-        plan = (workers if isinstance(workers, int) else 1, executor_kind)
-    else:
-        plan = (1, executor or "thread")
 
     ordered: List[Optional[JobResult]] = [results.get(job.job_id) for job in jobs]
     telemetry: Optional[Dict[str, object]] = None

@@ -11,8 +11,8 @@ hold module-level instrument objects created at import time::
 and pay **one attribute load plus one branch** per call while telemetry is
 disabled (the default) — no locks, no dict lookups, no allocation.  When
 enabled (``repro --trace``, ``repro.obs.enable()``), increments take the
-registry lock so concurrent threads from the persistent worker pools never
-lose updates.
+registry lock so concurrent threads from thread-pool workers never lose
+updates.
 
 Three instrument kinds:
 

@@ -5,8 +5,9 @@ tracing is enabled, records one **complete event** ("ph": "X" in the Chrome
 trace-event format): wall-clock begin, duration, process id, thread id and
 the caller's attributes.  Spans nest per thread — a thread-local stack tags
 each event with its parent span's name — and carry the native thread id, so
-a sharded campaign traced through the persistent pools renders as parallel
-tracks (one per worker thread or process) in Perfetto / ``chrome://tracing``.
+a sharded campaign traced through a thread or process pool renders as
+parallel tracks (one per worker thread or process) in Perfetto /
+``chrome://tracing``.
 
 Timebase: all timestamps are **wall-clock epoch microseconds**, derived from
 one ``(time.time, perf_counter)`` anchor captured at import.  Every process

@@ -425,11 +425,11 @@ def compile_window(
 #: (parity-matrix digest, quantized SNR) -> (mean iterations, success rate).
 #: Keyed by the code itself, not the configuration name, so custom chip
 #: variants are probed correctly and identical codes share probes.  The cache
-#: is process-wide and ``ScenarioRunner(executor="thread")`` suites probe
-#: concurrently: :data:`_PROBE_CACHE_LOCK` guards the dicts themselves, and a
-#: short-lived per-key lock in :data:`_PROBE_KEY_LOCKS` serializes threads
-#: asking for the *same* (code, SNR) — distinct keys still probe in parallel
-#: (the numpy-heavy decode releases the GIL).
+#: is process-wide and thread-pool suites (``compare_scenarios(n_jobs=...)``,
+#: campaigns) probe concurrently: :data:`_PROBE_CACHE_LOCK` guards the dicts
+#: themselves, and a short-lived per-key lock in :data:`_PROBE_KEY_LOCKS`
+#: serializes threads asking for the *same* (code, SNR) — distinct keys still
+#: probe in parallel (the numpy-heavy decode releases the GIL).
 _PROBE_CACHE: Dict[Tuple[str, float], Tuple[float, float]] = {}
 _PROBE_KEY_LOCKS: Dict[Tuple[str, float], threading.Lock] = {}
 _PROBE_CACHE_LOCK = threading.Lock()

@@ -1,9 +1,10 @@
-"""Tests for the scenario suite runner and the comparison report."""
+"""Tests for running scenario suites and the comparison report."""
+
+import threading
 
 import pytest
 
 from repro.analysis.report import ScenarioComparison, compare_scenarios
-from repro.analysis.runner import ScenarioRunner
 from repro.scenarios import get_scenario
 from repro.scenarios.patterns import ConstantPattern
 from repro.scenarios.spec import ScenarioSpec
@@ -24,26 +25,38 @@ def _tiny_spec(name: str, configuration: str = "A", **kwargs) -> ScenarioSpec:
 class TestScenarioRunner:
     def test_results_in_suite_order(self):
         specs = [_tiny_spec("first"), _tiny_spec("second", scheme="static")]
-        results = ScenarioRunner().run(specs)
+        results = compare_scenarios(specs).results
         assert [r.spec.name for r in results] == ["first", "second"]
         assert results[0].experiment.migrations_performed == 4
         assert results[1].experiment.migrations_performed == 0
 
     def test_thread_pool_matches_serial(self):
         specs = [_tiny_spec("a"), _tiny_spec("b", configuration="C")]
-        serial = ScenarioRunner().run(specs)
-        threaded = ScenarioRunner(n_jobs=2, executor="thread").run(specs)
+        serial = compare_scenarios(specs).results
+        threaded = compare_scenarios(specs, n_jobs=2).results
         for s, t in zip(serial, threaded):
             assert t.spec.name == s.spec.name
             assert t.experiment.settled_peak_celsius == pytest.approx(
                 s.experiment.settled_peak_celsius, abs=1e-12
             )
 
-    def test_default_executor_is_thread(self):
+    def test_parallel_suite_runs_on_threads(self, monkeypatch):
         # The scenario hot paths release the GIL and share process-wide
-        # caches; the honest perf record showed process fan-out losing on
-        # small suites, so threads are the default.
-        assert ScenarioRunner().executor == "thread"
+        # caches, so suites fan out over threads of this process.
+        from repro.analysis import report
+
+        seen = []
+        original = report.run_scenario
+
+        def recording(spec):
+            seen.append(threading.get_ident())
+            return original(spec)
+
+        monkeypatch.setattr(report, "run_scenario", recording)
+        specs = [_tiny_spec("a"), _tiny_spec("b"), _tiny_spec("c")]
+        assert compare_scenarios(specs, n_jobs=2).names() == ["a", "b", "c"]
+        assert len(seen) == 3
+        assert threading.get_ident() not in seen
 
     def test_feedback_stride_override(self):
         spec = _tiny_spec(
@@ -51,9 +64,9 @@ class TestScenarioRunner:
             policy_params={"trigger_celsius": 70.0},
         )
         assert spec.feedback_stride == 1
-        results = ScenarioRunner(
-            feedback_stride=5, feedback_predictor="previous"
-        ).run([spec])
+        results = compare_scenarios(
+            [spec], feedback_stride=5, feedback_predictor="previous"
+        ).results
         assert results[0].spec.feedback_stride == 5
         assert results[0].spec.feedback_predictor == "previous"
         # The authored spec is untouched (specs are frozen; the override
@@ -62,8 +75,7 @@ class TestScenarioRunner:
 
     def test_no_override_leaves_specs_as_authored(self):
         spec = _tiny_spec("plain")
-        runner = ScenarioRunner()
-        assert runner._apply_overrides(spec) is spec
+        assert compare_scenarios([spec]).results[0].spec == spec
 
 
 class TestScenarioComparison:
@@ -105,36 +117,3 @@ class TestScenarioComparison:
         assert "no scenarios" in empty.format_table()
         with pytest.raises(ValueError, match="no scenarios"):
             empty.hottest_scenario()
-
-
-class TestStreamingRunner:
-    def test_streamed_suite_matches_batch(self):
-        from repro.analysis.runner import run_streaming_scenario
-
-        spec = _tiny_spec("streamed")
-        batch = ScenarioRunner().run([spec])[0]
-        streamed = run_streaming_scenario(spec, window_epochs=2)
-        assert streamed.windows == 3  # 5 epochs in 2-epoch windows
-        assert streamed.summary["epochs"] == 5
-        assert streamed.experiment.settled_peak_celsius == pytest.approx(
-            batch.experiment.settled_peak_celsius, abs=1e-9
-        )
-        assert (
-            streamed.experiment.migrations_performed
-            == batch.experiment.migrations_performed
-        )
-
-    def test_run_streaming_suite_order_and_overrides(self):
-        specs = [_tiny_spec("first"), _tiny_spec("second", configuration="C")]
-        results = ScenarioRunner().run_streaming(specs, window_epochs=3)
-        assert [r.spec.name for r in results] == ["first", "second"]
-        assert all(r.windows == 2 for r in results)
-
-    def test_max_epochs_caps_the_stream(self):
-        from repro.analysis.runner import run_streaming_scenario
-
-        streamed = run_streaming_scenario(
-            _tiny_spec("capped"), window_epochs=2, max_epochs=4
-        )
-        assert streamed.windows == 2
-        assert streamed.summary["epochs"] == 4

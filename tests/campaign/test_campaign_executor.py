@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.campaign import CampaignSpec, auto_plan, campaign_status, run_campaign
+from repro import obs
+from repro.campaign import CampaignSpec, campaign_status, run_campaign
 from repro.campaign import executor as executor_module
 from repro.campaign import manifest
 from repro.chips import get_configuration
@@ -28,6 +30,19 @@ def grid_spec(name="grid", scenarios=None, **overrides):
 
 def result_payloads(run):
     return [result.to_dict() for result in run.results]
+
+
+def journal_results(directory):
+    """Journal lines minus wall time, as a sorted list of canonical JSON.
+
+    Completion order may differ between plans, so the lines compare as a
+    multiset.
+    """
+    lines = []
+    for entry in manifest.load_journal(directory):
+        entry = {key: value for key, value in entry.items() if key != "wall_s"}
+        lines.append(json.dumps(entry, sort_keys=True))
+    return sorted(lines)
 
 
 class TestColdRun:
@@ -161,33 +176,90 @@ class TestResume:
 
 
 class TestSharding:
-    def test_sharded_results_bit_identical_to_serial(self, tmp_path, monkeypatch):
+    def test_sharded_results_bit_identical_to_serial(self, tmp_path):
         spec = grid_spec()
         serial = run_campaign(spec, tmp_path / "serial", n_jobs=1)
-        # Force a genuine 2-worker thread fan-out regardless of host CPUs
-        # or the cost-aware downgrade (the jobs here are tiny).
-        monkeypatch.setattr(
-            "repro.analysis.runner.plan_execution",
-            lambda n_jobs, num_tasks, est_task_seconds=None, executor="process": (
-                2,
-                "thread",
-            ),
-        )
         sharded = run_campaign(
             spec, tmp_path / "sharded", n_jobs=2, executor="thread"
         )
+        assert sharded.plan == (2, "thread")
         assert result_payloads(sharded) == result_payloads(serial)
-        # And the journals carry the same payloads (completion order may
-        # differ; compare as sets of canonical lines).
-        def journal_results(directory):
-            return sorted(
-                json.dumps(entry["result"], sort_keys=True)
-                for entry in manifest.load_journal(directory)
-            )
-
         assert journal_results(tmp_path / "sharded") == journal_results(
             tmp_path / "serial"
         )
+
+
+class TestProcessPool:
+    @pytest.fixture
+    def traced(self):
+        obs.enable()
+        obs.start_tracing(clear=True)
+        obs.get_registry().reset()
+        yield
+        obs.disable()
+        obs.stop_tracing()
+        obs.get_registry().reset()
+        obs.get_tracer().clear()
+
+    def test_process_campaign_equals_serial(self, tmp_path):
+        spec = grid_spec()
+        serial = run_campaign(spec, tmp_path / "serial", n_jobs=1)
+        sharded = run_campaign(
+            spec, tmp_path / "proc", n_jobs=2, executor="process"
+        )
+        assert sharded.plan == (2, "process")
+        assert sharded.evaluated == len(sharded.jobs)
+        assert result_payloads(sharded) == result_payloads(serial)
+        assert journal_results(tmp_path / "proc") == journal_results(
+            tmp_path / "serial"
+        )
+
+    def test_worker_spans_merge_into_parent_trace(self, tmp_path, traced):
+        run = run_campaign(
+            grid_spec(), tmp_path / "proc", n_jobs=2, executor="process"
+        )
+        jobs = [e for e in obs.get_tracer().events() if e.name == "campaign.job"]
+        assert len(jobs) == len(run.jobs)
+        assert {e.pid for e in jobs} - {os.getpid()}
+        for entry in manifest.load_journal(tmp_path / "proc"):
+            assert entry["telemetry"]["counters"]["scenario.runs"] == 1
+
+
+class TestPlan:
+    """``CampaignRun.plan`` reports the fan-out the evaluations really used."""
+
+    def test_all_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        run = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=-1)
+        assert run.plan == (3, "thread")
+
+    def test_default_is_all_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert run_campaign(grid_spec(), tmp_path / "camp").plan == (2, "thread")
+
+    def test_capped_by_pending_jobs(self, tmp_path):
+        run = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=64)
+        assert run.plan == (len(run.jobs), "thread")
+
+    def test_serial_builds_no_pool(self, tmp_path):
+        run = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=1)
+        assert run.plan == (1, "serial")
+
+    def test_nothing_pending_is_serial(self, tmp_path):
+        run_campaign(grid_spec(), tmp_path / "camp", n_jobs=1)
+        warm = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=4)
+        assert warm.evaluated == 0
+        assert warm.plan == (1, "serial")
+
+    def test_dry_run_forecasts_the_plan(self, tmp_path):
+        forecast = run_campaign(
+            grid_spec(), tmp_path / "camp", n_jobs=2, dry_run=True
+        )
+        assert forecast.plan == (2, "thread")
+
+    def test_invalid_n_jobs_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_campaign(grid_spec(), tmp_path / "camp", n_jobs=0)
 
 
 class TestDryRun:
@@ -213,38 +285,3 @@ class TestDryRun:
         # Read-only: journal and spec file untouched.
         assert manifest.journal_path(directory).read_text() == journal_before
         assert manifest.load_spec(directory) == spec
-
-
-class TestAutoPlan:
-    def test_single_cpu_hosts_stay_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert auto_plan(100) == (1, "thread")
-
-    def test_single_pending_job_stays_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert auto_plan(1) == (1, "thread")
-
-    def test_weak_recorded_speedup_stays_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setattr(
-            executor_module,
-            "_perf_record",
-            lambda path=None: {"speedup": 1.01, "n_jobs": 4, "executor": "thread"},
-        )
-        assert auto_plan(100) == (1, "thread")
-
-    def test_strong_recorded_speedup_reuses_the_shape(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setattr(
-            executor_module,
-            "_perf_record",
-            lambda path=None: {"speedup": 2.4, "n_jobs": 4, "executor": "thread"},
-        )
-        assert auto_plan(100) == (4, "thread")
-        # Capped by the pending job count.
-        assert auto_plan(3) == (3, "thread")
-
-    def test_no_history_fans_over_cpus(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setattr(executor_module, "_perf_record", lambda path=None: None)
-        assert auto_plan(100) == (4, "thread")
