@@ -6,24 +6,32 @@ policy asks for one, charges the migration's cycles and energy, and keeps the
 I/O address translation up to date so the outside world never notices that
 the workload moved.
 
-The mapping is held as one int array, ``task -> node id``.  A migration is a
-gather through the transform's node permutation, and an epoch's power row is
-a scatter of the per-task power array through it; the
-:class:`~repro.placement.mapping.Mapping` view is built only on demand.
+The mapping is held as one int array, ``task -> node id``.  Every migration
+is a :class:`~repro.migration.plan.MigrationPlan` — the paper's sudden
+migration is a one-stage plan — and every stage runs through one step: a
+gather through the stage's node permutation, one translator compose, one
+event.  An epoch's power row is a scatter of the per-task power array plus
+the stage's energy vector; the :class:`~repro.placement.mapping.Mapping`
+view is built only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping as MappingType, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..migration.io_interface import IoAddressTranslator
-from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
+from ..migration.plan import (
+    MigrationPlan,
+    lower_transform,
+    priced_stage_cycles,
+    prices_congestion,
+)
 from ..migration.transforms import MigrationTransform
-from ..migration.unit import MigrationCost, MigrationUnit
+from ..migration.unit import MigrationUnit
 from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -35,9 +43,6 @@ _OBS_STAGES = _obs_counter("migration.stages")
 _OBS_COST_HITS = _obs_counter("migration.cost_cache.hits")
 _OBS_COST_MISSES = _obs_counter("migration.cost_cache.misses")
 
-#: Per-stage (node step, energy vector) arrays of a lowered plan.
-PlanArrays = Tuple[List[np.ndarray], List[np.ndarray]]
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -46,9 +51,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MigrationEvent:
-    """Record of one applied migration (or one stage of a staged plan).
+    """Record of one executed migration stage.
 
-    Legacy sudden migrations are single-stage events (``stage_index=0``,
+    A sudden migration is a single-stage event (``stage_index=0``,
     ``stage_count=1``); a staged plan emits one event per executed stage.
     Aggregators count a *migration* only at ``stage_index == 0`` while
     cycles/energy sum over every event.
@@ -67,26 +72,77 @@ class MigrationEvent:
 class StageCost:
     """Per-epoch cost of one executed plan stage.
 
-    Duck-typed like :class:`repro.migration.unit.MigrationCost` where the
-    epoch accounting needs it (``cycles``, ``total_energy_j``,
-    ``energy_per_unit_j``); ``cycles`` is the NoC-priced (congestion
-    inflated) transfer time of the stage.
+    ``cycles`` is the stage's transfer time, congestion-inflated when its
+    plan pays NoC congestion; ``total_energy_j`` / ``energy_per_unit_j`` /
+    ``energy_vector`` are the stage's migration energy (charged to the
+    epoch unless the controller excludes migration energy).
     """
 
     cycles: int
     total_energy_j: float
-    energy_per_unit_j: Dict[Coordinate, float]
+    energy_per_unit_j: MappingType[Coordinate, float]
     transform_name: str
     stage_index: int
     stage_count: int
+    #: Row-major per-PE energy (J), read-only.
+    energy_vector: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def completes_plan(self) -> bool:
-        return self.stage_index + 1 == self.stage_count
+
+class _Stage(NamedTuple):
+    """Everything executing one stage needs, built once per plan."""
+
+    #: node -> node relocation of the stage (for the I/O translator).
+    step: np.ndarray
+    #: The task -> node mapping after the stage (read-only).
+    permutation: np.ndarray
+    moved: int
+    cost: StageCost
+    label: str
+
+
+def _compile_plan(
+    plan: MigrationPlan, topology, permutation: np.ndarray, next_stage: int = 0
+) -> Tuple[_Stage, ...]:
+    """Per-stage arrays and unpriced costs of ``plan``.
+
+    ``permutation`` is the mapping after the first ``next_stage`` stages
+    ran; the stages' resulting mappings chain from the plan's start, so
+    executing a stage is an assignment, not a gather.  Raises
+    ``ValueError`` if a stage is not a closed relocation.
+    """
+    steps = [_frozen(stage.node_step(topology)) for stage in plan.stages]
+    for step in reversed(steps[:next_stage]):
+        permutation = np.argsort(step)[permutation]
+    count = plan.num_stages
+    compiled = []
+    for index, (stage, step) in enumerate(zip(plan.stages, steps)):
+        permutation = _frozen(step[permutation])
+        compiled.append(
+            _Stage(
+                step=step,
+                permutation=permutation,
+                moved=int(np.count_nonzero(step != np.arange(step.size))),
+                cost=StageCost(
+                    cycles=stage.cycles,
+                    total_energy_j=stage.energy_j,
+                    energy_per_unit_j=stage.energy_per_unit_j,
+                    transform_name=plan.transform_name,
+                    stage_index=index,
+                    stage_count=count,
+                    energy_vector=_frozen(stage.energy_vector(topology)),
+                ),
+                label=(
+                    plan.transform_name
+                    if count == 1
+                    else f"{plan.transform_name}[{index + 1}/{count}]"
+                ),
+            )
+        )
+    return tuple(compiled)
 
 
 class RuntimeReconfigurationController:
-    """Tracks mapping state and executes migrations for one chip.
+    """Tracks mapping state and executes migration plans for one chip.
 
     Parameters
     ----------
@@ -100,14 +156,11 @@ class RuntimeReconfigurationController:
         When False the controller reports zero migration energy — the
         ablation the paper implicitly performs when it notes that rotation's
         energy penalty raises the average temperature by 0.3 °C.
-    cache_migration_costs:
-        Memoize the migration cost per (transform, mapping) pair (the
-        default).  A migration's cost is a pure function of which transform
-        is applied to which mapping, and periodic policies cycle one
-        transform around a short orbit, so a long experiment computes only
-        ``orbit length`` distinct costs instead of rebuilding the
-        ``tanner_nodes_per_pe`` dict and the congestion-free schedule every
-        epoch.  Disable only to time the uncached reference behaviour.
+
+    A lowered plan is a pure function of (transform, mapping, style, units),
+    and periodic policies cycle one transform around a short orbit, so plans
+    are memoized per that key: a long experiment lowers only ``orbit
+    length`` distinct plans.
     """
 
     def __init__(
@@ -115,7 +168,6 @@ class RuntimeReconfigurationController:
         configuration: ChipConfiguration,
         migration_unit: Optional[MigrationUnit] = None,
         include_migration_energy: bool = True,
-        cache_migration_costs: bool = True,
     ):
         self.configuration = configuration
         self.topology = configuration.topology
@@ -123,7 +175,6 @@ class RuntimeReconfigurationController:
             self.topology, library=configuration.library
         )
         self.include_migration_energy = include_migration_energy
-        self.cache_migration_costs = cache_migration_costs
 
         per_task_power = configuration.per_task_power()
         self._task_power = np.array(
@@ -139,33 +190,25 @@ class RuntimeReconfigurationController:
         self.io_translator = IoAddressTranslator(self.topology)
         self.events: List[MigrationEvent] = []
         self._epoch_index = 0
-        # Running totals, maintained O(1) per migration so accounting stays
+        # Running totals, maintained O(1) per stage so accounting stays
         # correct after :meth:`drain_events` trims the event log (streaming
         # runs drain every window to keep memory flat).
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        #: (transform permutation, mapping permutation) bytes -> (cost, next
-        #: permutation, moved-task count, energy vector).  The cache survives
-        #: :meth:`reset` — costs are independent of history.
-        self._migration_cache: Dict[
-            Tuple[bytes, bytes], Tuple[MigrationCost, np.ndarray, int, np.ndarray]
-        ] = {}
-        #: Number of full migration-cost computations (cache misses).
+        #: (transform permutation, mapping permutation, style, units) ->
+        #: (plan, compiled stages).  Plans are immutable, so the cache is
+        #: shared across runs and survives :meth:`reset`.
+        self._plan_cache: Dict[Tuple, Tuple[MigrationPlan, Tuple[_Stage, ...]]] = {}
+        #: Number of plan lowerings (cache misses).
         self.migration_cost_computations = 0
-        #: Number of migrations served from the cache.
+        #: Number of migrations served from the plan cache.
         self.migration_cache_hits = 0
-        # Staged-plan execution state: the in-flight plan (None when idle),
-        # its per-stage arrays and the index of the next stage to execute.
-        # Like the cost cache, lowered plans are memoized per (transform,
-        # mapping, style, units) — plans are immutable, so sharing is safe.
+        # The in-flight plan (None when idle), its compiled stages and the
+        # index of the next stage to execute.
         self._active_plan: Optional[MigrationPlan] = None
-        self._active_arrays: PlanArrays = ([], [])
+        self._active_stages: Tuple[_Stage, ...] = ()
         self._plan_next_stage = 0
-        self._plan_cache: Dict[Tuple, Tuple[MigrationPlan, PlanArrays]] = {}
-        #: (cost object, its energy vector) of the last migration or stage
-        #: executed, so :meth:`epoch_power_vector` skips the dict walk.
-        self._issued: Optional[Tuple[object, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -203,6 +246,11 @@ class RuntimeReconfigurationController:
         """The current mapping, built from :attr:`current_permutation`."""
         return Mapping.from_permutation(self.topology, self._permutation.tolist())
 
+    def _arm(self, plan: Optional[MigrationPlan], stages=(), next_stage=0) -> None:
+        self._active_plan = plan
+        self._active_stages = stages
+        self._plan_next_stage = next_stage
+
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
         self._permutation = self._static_permutation
@@ -212,10 +260,7 @@ class RuntimeReconfigurationController:
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        self._active_plan = None
-        self._active_arrays = ([], [])
-        self._plan_next_stage = 0
-        self._issued = None
+        self._arm(None)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -246,101 +291,46 @@ class RuntimeReconfigurationController:
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`."""
+        """Inverse of :meth:`state_dict`.
+
+        Raises ``ValueError`` (leaving the controller untouched) for a
+        malformed in-flight plan: a stage that is not a closed relocation,
+        or a ``next_stage`` that does not name a remaining stage of a plan
+        whose first stage has run.
+        """
         permutation = [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
         if sorted(permutation) != list(range(self.topology.num_nodes)):
             raise ValueError("permutation must be a rearrangement of all node ids")
-        self._permutation = _frozen(np.array(permutation, dtype=np.int64))
+        current = _frozen(np.array(permutation, dtype=np.int64))
+        plan_state = state.get("plan")
+        plan: Optional[MigrationPlan] = None
+        stages: Tuple[_Stage, ...] = ()
+        next_stage = 0
+        if plan_state is not None:
+            plan = MigrationPlan.from_dict(
+                plan_state["plan"], self.topology  # type: ignore[index]
+            )
+            next_stage = int(plan_state["next_stage"])  # type: ignore[index]
+            # apply_migration runs stage 0 at once, so an in-flight plan has
+            # run its first stage and has at least one left.
+            if not 1 <= next_stage < plan.num_stages:
+                raise ValueError(
+                    f"checkpointed plan next_stage {next_stage} is out of range "
+                    f"for a {plan.num_stages}-stage plan in flight "
+                    f"(expected 1..{plan.num_stages - 1})"
+                )
+            stages = _compile_plan(plan, self.topology, current, next_stage)
+        self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
+        self._permutation = current
         self._epoch_index = int(state["epoch_index"])  # type: ignore[arg-type]
         self._migration_count = int(state["migrations"])  # type: ignore[arg-type]
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
-        self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
         self.events.clear()
-        self._issued = None
-        plan_state = state.get("plan")
-        if plan_state is None:
-            self._active_plan = None
-            self._active_arrays = ([], [])
-            self._plan_next_stage = 0
-        else:
-            self._active_plan = MigrationPlan.from_dict(
-                plan_state["plan"], self.topology  # type: ignore[index]
-            )
-            self._active_arrays = self._plan_arrays(self._active_plan)
-            self._plan_next_stage = int(plan_state["next_stage"])  # type: ignore[index]
+        self._arm(plan, stages, next_stage)
 
     # ------------------------------------------------------------------
-    def _energy_vector(self, energy_per_unit_j: Dict[Coordinate, float]) -> np.ndarray:
-        """Row-major per-PE migration energy (J) of one cost object."""
-        vector = np.zeros(self.topology.num_nodes, dtype=np.float64)
-        node_id = self.topology.node_id
-        for coord, energy in energy_per_unit_j.items():
-            vector[node_id(coord)] = energy
-        return vector
-
-    def _migration_outcome(
-        self, transform: MigrationTransform
-    ) -> Tuple[MigrationCost, np.ndarray, int, np.ndarray]:
-        """(cost, next permutation, moved tasks, energy vector) of ``transform``.
-
-        A pure function of (transform, current mapping); with caching
-        enabled a repeated pair skips the ``tanner_nodes_per_pe`` rebuild
-        and the scheduler entirely.
-        """
-        step = transform.node_permutation()
-        key = (step.tobytes(), self._permutation.tobytes())
-        cached = self._migration_cache.get(key) if self.cache_migration_costs else None
-        if cached is not None:
-            self.migration_cache_hits += 1
-            _OBS_COST_HITS.add()
-            return cached
-        nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
-        cost = self.migration_unit.migration_cost(transform, nodes_per_pe)
-        next_permutation = _frozen(step[self._permutation])
-        moved = int(np.count_nonzero(next_permutation != self._permutation))
-        self.migration_cost_computations += 1
-        _OBS_COST_MISSES.add()
-        outcome = (
-            cost,
-            next_permutation,
-            moved,
-            self._energy_vector(cost.energy_per_unit_j),
-        )
-        if self.cache_migration_costs:
-            self._migration_cache[key] = outcome
-        return outcome
-
-    def apply_migration(
-        self, transform: MigrationTransform, epoch_index: Optional[int] = None
-    ) -> MigrationCost:
-        """Apply ``transform`` to the current mapping and account its cost."""
-        if epoch_index is None:
-            epoch_index = self._epoch_index
-        cost, next_permutation, moved, energy_vector = self._migration_outcome(
-            transform
-        )
-        self._permutation = next_permutation
-        self.io_translator.record_migration(transform)
-        self._issued = (cost, energy_vector)
-
-        energy = cost.total_energy_j if self.include_migration_energy else 0.0
-        self.events.append(
-            MigrationEvent(
-                epoch_index=epoch_index,
-                transform_name=transform.name,
-                cycles=cost.cycles,
-                energy_j=energy,
-                moved_tasks=moved,
-            )
-        )
-        self._migration_count += 1
-        self._migration_cycles += cost.cycles
-        self._migration_energy_j += energy
-        return cost
-
-    # ------------------------------------------------------------------
-    # Staged-plan execution
+    # Plan execution
     # ------------------------------------------------------------------
     @property
     def migration_in_progress(self) -> bool:
@@ -355,29 +345,19 @@ class RuntimeReconfigurationController:
     def plan_next_stage(self) -> int:
         return self._plan_next_stage
 
-    def _plan_arrays(self, plan: MigrationPlan) -> PlanArrays:
-        """Per-stage node steps (node -> node) and energy vectors of a plan."""
-        node_id = self.topology.node_id
-        steps: List[np.ndarray] = []
-        for stage in plan.stages:
-            step = np.arange(self.topology.num_nodes, dtype=np.int64)
-            for source, destination in stage.mapping_moves().items():
-                step[node_id(source)] = node_id(destination)
-            steps.append(_frozen(step))
-        vectors = [self._energy_vector(stage.energy_per_unit_j) for stage in plan.stages]
-        return steps, vectors
-
     def _lowered_plan(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
-    ) -> Tuple[MigrationPlan, PlanArrays]:
+    ) -> Tuple[MigrationPlan, Tuple[_Stage, ...]]:
         key = (
             transform.node_permutation().tobytes(),
             self._permutation.tobytes(),
             style,
             units_per_epoch,
         )
-        cached = self._plan_cache.get(key) if self.cache_migration_costs else None
+        cached = self._plan_cache.get(key)
         if cached is not None:
+            self.migration_cache_hits += 1
+            _OBS_COST_HITS.add()
             return cached
         nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
         with _obs_span(
@@ -393,93 +373,89 @@ class RuntimeReconfigurationController:
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
-        lowered = (plan, self._plan_arrays(plan))
-        if self.cache_migration_costs:
-            self._plan_cache[key] = lowered
+        lowered = (plan, _compile_plan(plan, self.topology, self._permutation))
+        self.migration_cost_computations += 1
+        _OBS_COST_MISSES.add()
+        self._plan_cache[key] = lowered
         return lowered
 
-    def begin_plan(
+    def apply_migration(
         self,
         transform: MigrationTransform,
+        epoch_index: Optional[int] = None,
         *,
-        style: str,
+        style: str = "sudden",
         units_per_epoch: int = 2,
-    ) -> MigrationPlan:
-        """Lower ``transform`` into a staged plan and arm it for execution.
+        congestion: float = 1.0,
+    ) -> StageCost:
+        """Start migrating along ``transform``: arm its plan and run stage 0.
 
-        The plan counts as ONE migration (however many stages it unfolds
-        over); call :meth:`advance_plan` once per epoch to execute stages.
+        The plan (see :func:`repro.migration.plan.lower_transform`) counts
+        as ONE migration however many stages it unfolds over; a sudden plan
+        completes here, a staged one continues through :meth:`advance_plan`
+        once per epoch.  ``congestion`` is the epoch's NoC load factor
+        (:func:`repro.migration.plan.congestion_factor`), applied when the
+        plan's style pays it.
         """
         if self._active_plan is not None:
             raise RuntimeError(
                 "a migration plan is already in progress; "
                 "advance it to completion before beginning another"
             )
-        plan, arrays = self._lowered_plan(transform, style, units_per_epoch)
-        self._active_plan = plan
-        self._active_arrays = arrays
-        self._plan_next_stage = 0
+        plan, stages = self._lowered_plan(transform, style, units_per_epoch)
         self._migration_count += 1
         _OBS_PLANS.add()
-        return plan
+        return self._execute_stage(plan, stages, 0, epoch_index, congestion)
 
     def advance_plan(
         self,
         epoch_index: Optional[int] = None,
         congestion: float = 1.0,
     ) -> Optional[StageCost]:
-        """Execute the next stage of the in-flight plan (None when idle).
-
-        Applies the stage's partial relocation to the mapping and the I/O
-        translator, logs a per-stage :class:`MigrationEvent`, and returns
-        the stage's :class:`StageCost` with its transfer cycles inflated by
-        ``congestion`` (the epoch's NoC load factor, see
-        :func:`repro.migration.plan.congestion_factor`).
-        """
+        """Execute the next stage of the in-flight plan (None when idle)."""
         plan = self._active_plan
         if plan is None:
             return None
-        if epoch_index is None:
-            epoch_index = self._epoch_index
-        index = self._plan_next_stage
-        stage = plan.stages[index]
-        cycles = priced_stage_cycles(stage, congestion)
-        steps, vectors = self._active_arrays
-        moves = stage.mapping_moves()
-        if moves:
-            self._permutation = _frozen(steps[index][self._permutation])
-            self.io_translator.record_moves(
-                moves, f"{plan.transform_name}[{index + 1}/{plan.num_stages}]"
+        return self._execute_stage(
+            plan, self._active_stages, self._plan_next_stage, epoch_index, congestion
+        )
+
+    def _execute_stage(
+        self,
+        plan: MigrationPlan,
+        stages: Tuple[_Stage, ...],
+        index: int,
+        epoch_index: Optional[int],
+        congestion: float,
+    ) -> StageCost:
+        """The one stage step: mapping, translator compose, event, totals."""
+        stage = stages[index]
+        cost = stage.cost
+        if congestion > 1.0 and prices_congestion(plan.style):
+            cost = replace(
+                cost, cycles=priced_stage_cycles(plan.stages[index], congestion)
             )
-        energy = stage.energy_j if self.include_migration_energy else 0.0
+        self._permutation = stage.permutation
+        self.io_translator.record_step(stage.step, stage.label)
+        energy = cost.total_energy_j if self.include_migration_energy else 0.0
         self.events.append(
             MigrationEvent(
-                epoch_index=epoch_index,
-                transform_name=plan.transform_name,
-                cycles=cycles,
+                epoch_index=self._epoch_index if epoch_index is None else epoch_index,
+                transform_name=cost.transform_name,
+                cycles=cost.cycles,
                 energy_j=energy,
-                moved_tasks=len(moves),
+                moved_tasks=stage.moved,
                 stage_index=index,
-                stage_count=plan.num_stages,
+                stage_count=cost.stage_count,
             )
         )
-        self._migration_cycles += cycles
+        self._migration_cycles += cost.cycles
         self._migration_energy_j += energy
         _OBS_STAGES.add()
-        self._plan_next_stage = index + 1
-        if self._plan_next_stage >= plan.num_stages:
-            self._active_plan = None
-            self._active_arrays = ([], [])
-            self._plan_next_stage = 0
-        cost = StageCost(
-            cycles=cycles,
-            total_energy_j=energy,
-            energy_per_unit_j=dict(stage.energy_per_unit_j),
-            transform_name=plan.transform_name,
-            stage_index=index,
-            stage_count=plan.num_stages,
-        )
-        self._issued = (cost, vectors[index])
+        if index + 1 < len(stages):
+            self._arm(plan, stages, index + 1)
+        else:
+            self._arm(None)
         return cost
 
     def advance_epoch(self) -> int:
@@ -491,33 +467,28 @@ class RuntimeReconfigurationController:
     def epoch_power_vector(
         self,
         period_s: float,
-        migration_cost: Optional[MigrationCost] = None,
+        migration_cost: Optional[StageCost] = None,
     ) -> np.ndarray:
         """Row-major per-PE power over one epoch under the current mapping.
 
         Workload power follows the tasks to their current locations; if a
-        migration happened at the start of the epoch its energy is amortised
-        over the epoch and charged to the units it touched.  This is the
-        native representation: one such vector per epoch forms a row of the
-        experiment's :class:`repro.power.trace.PowerTrace`.
+        migration stage ran at the start of the epoch its energy is
+        amortised over the epoch and charged to the units it touched.  This
+        is the native representation: one such vector per epoch forms a row
+        of the experiment's :class:`repro.power.trace.PowerTrace`.
         """
         if period_s <= 0:
             raise ValueError("epoch period must be positive")
         power = np.zeros(self.topology.num_nodes, dtype=np.float64)
         power[self._permutation] = self._task_power
         if migration_cost is not None and self.include_migration_energy:
-            issued = self._issued
-            if issued is not None and issued[0] is migration_cost:
-                energy = issued[1]
-            else:
-                energy = self._energy_vector(migration_cost.energy_per_unit_j)
-            power += energy / period_s
+            power += migration_cost.energy_vector / period_s
         return power
 
     def epoch_power_map(
         self,
         period_s: float,
-        migration_cost: Optional[MigrationCost] = None,
+        migration_cost: Optional[StageCost] = None,
     ) -> Dict[Coordinate, float]:
         """Dict view of :meth:`epoch_power_vector` (for policies/reports)."""
         return vector_to_map(

@@ -49,13 +49,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
-from ..migration.plan import MIGRATION_STYLES, congestion_factor
-from ..migration.unit import MigrationCost, MigrationUnit
+from ..migration.plan import MIGRATION_STYLES, congestion_factor, prices_congestion
+from ..migration.unit import MigrationUnit
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
 from ..thermal.model import ThermalModel
-from .controller import RuntimeReconfigurationController
+from .controller import RuntimeReconfigurationController, StageCost
 from .metrics import EpochRecord, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
 
@@ -361,7 +361,7 @@ class WindowOutcome:
     start_epoch: int
     num_epochs: int
     trace: PowerTrace
-    costs: List[Optional[MigrationCost]]
+    costs: List[Optional[StageCost]]
     names: List[Optional[str]]
     epoch_metrics: List[ThermalMetrics]
     peak_by_epoch: np.ndarray
@@ -478,6 +478,13 @@ class ThermalExperiment:
             if not np.all(np.isfinite(rates)) or rates.min() < 0:
                 raise ValueError("noc_rates must be finite and non-negative")
             self.noc_rates = rates
+        #: How every migration unfolds (``apply_migration`` keywords), and
+        #: whether a new plan's first stage pays NoC congestion.
+        self._plan_options = {
+            "style": self.settings.migration_style,
+            "units_per_epoch": self.settings.units_per_epoch,
+        }
+        self._new_plans_priced = prices_congestion(self.settings.migration_style)
         #: The chunked feedback evaluator of the most recent run (None for
         #: feedback-free policies); exposes batch/row counters for tests.
         self.feedback_plan: Optional[FeedbackPlan] = None
@@ -781,7 +788,7 @@ class ThermalExperiment:
         ambient_offsets: Optional[np.ndarray],
         period_scale: Optional[np.ndarray] = None,
         noc_rates: Optional[np.ndarray] = None,
-    ) -> Tuple[PowerTrace, List[Optional[MigrationCost]], List[Optional[str]]]:
+    ) -> Tuple[PowerTrace, List[Optional[StageCost]], List[Optional[str]]]:
         """Run the policy/controller loop for one window of epochs.
 
         Epoch indices are **global** (``self._next_epoch + local``), so
@@ -791,16 +798,16 @@ class ThermalExperiment:
         previous power row as a vector (the dict view is built lazily only
         if a policy reads it).
 
-        With ``migration_style != "sudden"`` a policy decision is lowered
-        into a :class:`~repro.migration.plan.MigrationPlan` and one stage
-        executes per epoch (priced under the epoch's NoC load when
-        ``noc_rates`` is given); while the plan unfolds the policy is told
-        via ``migration_in_progress`` and any transform it still returns is
-        dropped and counted as a stalled epoch.  The sudden default takes
-        the legacy one-shot path untouched, bit for bit.  The cost list
-        then holds :class:`~repro.core.controller.StageCost` entries, which
-        expose the same ``cycles`` / ``total_energy_j`` /
-        ``energy_per_unit_j`` surface as :class:`MigrationCost`.
+        Every migration is a :class:`~repro.migration.plan.MigrationPlan`
+        run one stage per epoch: if a plan is in flight the loop advances
+        it, otherwise a policy decision starts one through
+        ``apply_migration`` (a one-stage plan completes in that epoch).  While
+        a plan unfolds the policy is told via ``migration_in_progress``,
+        and any transform it still returns is dropped and counted as a
+        stalled epoch.  A stage whose plan pays NoC congestion
+        (:func:`~repro.migration.plan.prices_congestion`) is priced under
+        the epoch's rate when ``noc_rates`` is given.  The cost list holds
+        one :class:`~repro.core.controller.StageCost` per migrating epoch.
         """
         configuration = self.configuration
         controller = self.controller
@@ -809,11 +816,10 @@ class ThermalExperiment:
         topology = configuration.topology
         thermal_feedback = self._thermal_feedback
         plan = self.feedback_plan
-        style = self.settings.migration_style
-        staged = style != "sudden"
+        plan_options = self._plan_options
 
         trace = PowerTrace(topology)
-        costs: List[Optional[MigrationCost]] = []
+        costs: List[Optional[StageCost]] = []
         names: List[Optional[str]] = []
         previous_power = self._previous_power
 
@@ -825,7 +831,7 @@ class ThermalExperiment:
                 self._cycles_run += configuration.block_period_cycles(period_us)
             else:
                 self._cycles_run += self._period_cycles
-            in_progress = staged and controller.migration_in_progress
+            in_progress = controller.migration_in_progress
             context = PolicyContext(
                 epoch_index=epoch_index,
                 current_thermal=(
@@ -837,41 +843,24 @@ class ThermalExperiment:
             )
             transform = self.policy.decide(context)
             wants = transform is not None and transform.name != "identity"
-            cost: Optional[MigrationCost] = None
-            name: Optional[str] = None
+            cost: Optional[StageCost] = None
             if in_progress:
                 if wants:
                     _OBS_STALLED.add()
-                rate = (
-                    float(noc_rates[local_index])
-                    if noc_rates is not None
-                    else None
+                cost = controller.advance_plan(
+                    epoch_index, self._congestion(noc_rates, local_index)
                 )
-                stage = controller.advance_plan(
-                    epoch_index, congestion_factor(self.noc_model, rate)
-                )
-                if stage is not None:
-                    cost = stage
-                    name = stage.transform_name
             elif wants:
-                if staged:
-                    controller.begin_plan(
-                        transform,
-                        style=style,
-                        units_per_epoch=self.settings.units_per_epoch,
-                    )
-                    rate = (
-                        float(noc_rates[local_index])
-                        if noc_rates is not None
-                        else None
-                    )
-                    cost = controller.advance_plan(
-                        epoch_index, congestion_factor(self.noc_model, rate)
-                    )
-                    name = transform.name
-                else:
-                    cost = controller.apply_migration(transform, epoch_index)
-                    name = transform.name
+                cost = controller.apply_migration(
+                    transform,
+                    epoch_index,
+                    congestion=(
+                        self._congestion(noc_rates, local_index)
+                        if self._new_plans_priced
+                        else 1.0
+                    ),
+                    **plan_options,
+                )
             power = controller.epoch_power_vector(period_s, cost)
             if power_modulation is not None:
                 # Scenario hook: scale this epoch's row as it is emitted, so
@@ -880,7 +869,7 @@ class ThermalExperiment:
                 power = power * power_modulation[local_index]
             trace.add_interval(period_s, power)
             costs.append(cost)
-            names.append(name)
+            names.append(cost.transform_name if cost is not None else None)
 
             if plan is not None:
                 plan.observe(epoch_index, power)
@@ -890,9 +879,14 @@ class ThermalExperiment:
         self._next_epoch += num_epochs
         return trace, costs, names
 
+    def _congestion(self, noc_rates: Optional[np.ndarray], local_index: int) -> float:
+        """The NoC congestion factor of one epoch of the window."""
+        rate = float(noc_rates[local_index]) if noc_rates is not None else None
+        return congestion_factor(self.noc_model, rate)
+
     def _epoch_sequence(
         self, thermal_feedback: bool
-    ) -> Tuple[PowerTrace, List[Optional[MigrationCost]], List[Optional[str]]]:
+    ) -> Tuple[PowerTrace, List[Optional[StageCost]], List[Optional[str]]]:
         """Run the whole-horizon policy/controller loop (test/diagnostic hook).
 
         Initialises the windowed state without resetting the policy or
@@ -941,7 +935,7 @@ class ThermalExperiment:
     def _records(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
+        costs: List[Optional[StageCost]],
         names: List[Optional[str]],
         epoch_metrics: List[ThermalMetrics],
         start_epoch: int = 0,
@@ -964,7 +958,7 @@ class ThermalExperiment:
     def _step_steady(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
+        costs: List[Optional[StageCost]],
         names: List[Optional[str]],
         offsets: Optional[np.ndarray],
         start_epoch: int,
@@ -1038,7 +1032,7 @@ class ThermalExperiment:
     def _step_transient(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
+        costs: List[Optional[StageCost]],
         names: List[Optional[str]],
         offsets: Optional[np.ndarray],
         start_epoch: int,

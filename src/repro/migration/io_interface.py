@@ -15,20 +15,20 @@ on ingress and back to the original view on egress.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.topology import Coordinate, MeshTopology
-from .transforms import MigrationTransform
 
 
 class IoAddressTranslator:
     """Maintains the cumulative coordinate map across migrations.
 
     The map is an int array, ``original node id -> current node id``; every
-    recorded migration composes a node permutation onto it with one gather.
+    recorded migration stage composes a node permutation onto it with one
+    gather.
     """
 
     def __init__(self, topology: MeshTopology):
@@ -45,41 +45,24 @@ class IoAddressTranslator:
 
     @property
     def history(self) -> List[str]:
-        """Names of the transforms applied since the last compaction."""
+        """Labels of the stages recorded since the last compaction.
+
+        A one-stage (sudden) migration is labelled with its transform's
+        name; a staged plan's stages read ``name[i/n]``.
+        """
         return list(self._history)
 
-    def _compose(self, step: Sequence[int], label: str) -> None:
-        """Move every workload along ``step`` (current node -> next node)."""
-        self._current_of_original = np.asarray(step)[self._current_of_original]
+    def record_step(self, step: np.ndarray, label: str) -> None:
+        """Move every workload along ``step`` (current node -> next node).
+
+        ``step`` is one executed migration stage as a node permutation (see
+        :meth:`repro.migration.plan.MigrationStage.node_step`, which checks
+        it is one); a sudden migration's single stage is the whole
+        transform's node permutation.  ``label`` joins :attr:`history`.
+        """
+        self._current_of_original = step[self._current_of_original]
         self._history.append(label)
         self._applied += 1
-
-    def record_migration(self, transform: MigrationTransform) -> None:
-        """Compose ``transform`` onto the cumulative map."""
-        self._compose(transform.node_permutation(), transform.name)
-
-    def record_moves(
-        self, moves: Dict[Coordinate, Coordinate], label: str
-    ) -> None:
-        """Compose a *partial* relocation onto the cumulative map.
-
-        ``moves`` maps source -> destination for the coordinates one
-        migration stage relocates; everything else stays put.  Staged plans
-        (:mod:`repro.migration.plan`) call this once per executed stage so
-        the I/O interface follows the mixed mid-plan mapping.  The source
-        set must equal the destination set (stages are unions of whole
-        permutation cycles), keeping the cumulative map a bijection.
-        """
-        if set(moves) != set(moves.values()):
-            raise ValueError(
-                "stage moves must be a closed relocation "
-                "(source set must equal destination set)"
-            )
-        node_id = self.topology.node_id
-        step = list(range(self.topology.num_nodes))
-        for source, destination in moves.items():
-            step[node_id(source)] = node_id(destination)
-        self._compose(step, label)
 
     def compact_history(self) -> None:
         """Drop the per-migration name log, keeping the cumulative map.

@@ -21,8 +21,9 @@ applying a whole cycle's moves simultaneously relocates a closed set of PEs
 onto itself, which is exactly the condition for the mid-plan mapping to stay
 bijective.  Styles differ only in how cycles are grouped into stages:
 
-* ``sudden`` — one stage holding every move (bit-identical to the seed path:
-  same schedule, same energy accumulation order);
+* ``sudden`` — one stage holding every move (the paper's Section 2.2
+  migration; bit-identical to :meth:`MigrationUnit.migration_cost`: same
+  schedule, same energy accumulation order);
 * ``fluid`` — cycles are packed into stages under a ``units_per_epoch``
   budget (a cycle longer than the budget still occupies one stage — cycles
   are atomic);
@@ -34,7 +35,8 @@ bijective.  Styles differ only in how cycles are grouped into stages:
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
 transfer time by the analytic wormhole model's loaded/zero-load latency
-ratio (:mod:`repro.scenarios.noc_cost`).
+ratio (:mod:`repro.scenarios.noc_cost`).  Which stages pay it is the one
+rule in :func:`prices_congestion`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
 from .scheduler import PeMove, _links_of_route
@@ -54,6 +58,7 @@ __all__ = [
     "MigrationStage",
     "congestion_factor",
     "lower_transform",
+    "prices_congestion",
 ]
 
 #: The supported ``migration_style`` values, in documentation order.
@@ -94,6 +99,33 @@ class MigrationStage:
             for move in self.moves
             if not move.is_local
         }
+
+    def node_step(self, topology: MeshTopology) -> np.ndarray:
+        """This stage's relocation as a ``node -> node`` permutation array.
+
+        Raises ``ValueError`` unless the remote moves form a closed
+        relocation (their source set equals their destination set), the
+        condition for every mid-plan mapping to stay bijective.
+        """
+        identity = np.arange(topology.num_nodes, dtype=np.int64)
+        step = identity.copy()
+        node_id = topology.node_id
+        for source, destination in self.mapping_moves().items():
+            step[node_id(source)] = node_id(destination)
+        if not np.array_equal(np.sort(step), identity):
+            raise ValueError(
+                "stage moves must be a closed relocation "
+                "(source set must equal destination set)"
+            )
+        return step
+
+    def energy_vector(self, topology: MeshTopology) -> np.ndarray:
+        """Row-major per-PE energy (J) of this stage."""
+        vector = np.zeros(topology.num_nodes, dtype=np.float64)
+        node_id = topology.node_id
+        for coord, energy in self.energy_per_unit_j.items():
+            vector[node_id(coord)] = energy
+        return vector
 
     # -- checkpoint codec ------------------------------------------------
     def to_dict(self, topology: MeshTopology) -> Dict[str, object]:
@@ -340,6 +372,18 @@ def lower_transform(
 # ----------------------------------------------------------------------
 # Congestion-aware stage pricing
 # ----------------------------------------------------------------------
+def prices_congestion(style: str) -> bool:
+    """The stage-pricing rule: whether a ``style`` plan pays NoC congestion.
+
+    A sudden plan halts the whole array for its one stage, so the migration
+    traffic has no workload traffic to contend with and is priced
+    congestion-free.  Fluid and batched stages move while the chip keeps
+    working, so each pays the epoch's :func:`congestion_factor`.  Callers
+    skip probing the NoC model for a stage this rule leaves unpriced.
+    """
+    return style != "sudden"
+
+
 def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
     """Latency inflation of migration traffic under the epoch's NoC load.
 

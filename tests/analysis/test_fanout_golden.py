@@ -16,14 +16,11 @@ Regenerate (only for an intended change of the science) with::
 from __future__ import annotations
 
 import json
-import math
-import platform
+import sys
 from pathlib import Path
 from typing import Dict, List
 
-import numpy as np
 import pytest
-import scipy
 
 from repro.analysis import run_energy_ablation, run_period_sweep
 from repro.analysis.report import compare_scenarios
@@ -31,6 +28,9 @@ from repro.analysis.sweep import PAPER_PERIODS_US
 from repro.chips import get_configuration
 from repro.core.dtm import compare_with_migration
 from repro.scenarios.registry import get_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from golden_stack import assert_close, numeric_stack  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).with_name("fanout_golden.json")
 
@@ -44,22 +44,6 @@ SECTIONS = (
     "scenarios_serial",
     "scenarios_n_jobs2",
 )
-
-
-def numeric_stack() -> Dict[str, object]:
-    """What decides the last bits of the floats: library builds and CPU kernels."""
-    stack: Dict[str, object] = {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "machine": platform.machine(),
-    }
-    try:
-        config = np.show_config(mode="dicts")
-        stack["blas"] = config["Build Dependencies"]["blas"].get("version")
-        stack["simd"] = sorted(config["SIMD Extensions"]["found"])
-    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
-        pass
-    return stack
 
 
 def _experiment(result) -> Dict[str, object]:
@@ -159,25 +143,6 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-def _assert_close(actual, expected, where="") -> None:
-    if isinstance(expected, dict):
-        assert isinstance(actual, dict) and set(actual) == set(expected), where
-        for key in expected:
-            _assert_close(actual[key], expected[key], f"{where}.{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), where
-        for index, (a, e) in enumerate(zip(actual, expected)):
-            _assert_close(a, e, f"{where}[{index}]")
-    elif isinstance(expected, float):
-        assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12), (
-            where,
-            actual,
-            expected,
-        )
-    else:
-        assert actual == expected, (where, actual, expected)
-
-
 @pytest.mark.parametrize("section", SECTIONS)
 def test_matches_golden_exactly(current, golden, section):
     if golden["numeric_stack"] != numeric_stack():
@@ -187,7 +152,7 @@ def test_matches_golden_exactly(current, golden, section):
 
 @pytest.mark.parametrize("section", SECTIONS)
 def test_matches_golden_closely(current, golden, section):
-    _assert_close(current[section], golden["outputs"][section], section)
+    assert_close(current[section], golden["outputs"][section], section)
 
 
 def test_golden_covers_every_section(current, golden):

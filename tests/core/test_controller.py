@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
-from repro.migration.transforms import RotationTransform, XYShiftTransform, make_transform
+from repro.migration.transforms import (
+    FIGURE1_SCHEMES,
+    RotationTransform,
+    XYShiftTransform,
+    make_transform,
+)
+from repro.migration.unit import MigrationUnit
 
 
 @pytest.fixture
@@ -79,20 +86,29 @@ class TestMigrationCostCache:
             controller_a.apply_migration(transform)
         assert controller_a.migration_cost_computations == computed
 
-    def test_cached_results_match_uncached(self, chip_a):
-        cached = RuntimeReconfigurationController(chip_a)
-        uncached = RuntimeReconfigurationController(chip_a, cache_migration_costs=False)
-        transform = XYShiftTransform(chip_a.topology)
-        for _ in range(8):
-            cost_cached = cached.apply_migration(transform)
-            cost_uncached = uncached.apply_migration(transform)
-            assert cost_cached.cycles == cost_uncached.cycles
-            assert cost_cached.total_energy_j == cost_uncached.total_energy_j
-            assert cost_cached.energy_per_unit_j == cost_uncached.energy_per_unit_j
-            assert cached.current_mapping == uncached.current_mapping
-        assert uncached.migration_cache_hits == 0
-        assert uncached.migration_cost_computations == 8
-        assert cached.migration_cost_computations == 4
+    @pytest.mark.parametrize("chip", ["A", "E"])
+    @pytest.mark.parametrize("scheme", FIGURE1_SCHEMES)
+    def test_cached_stage_costs_match_fresh_migration_cost(self, chip, scheme):
+        """Oracle: every served stage cost along an orbit — lowered on the
+        first lap, cached on the next two — equals a fresh whole-transform
+        ``MigrationUnit.migration_cost`` at the mapping it was applied to."""
+        configuration = get_configuration(chip)
+        controller = RuntimeReconfigurationController(configuration)
+        unit = MigrationUnit(configuration.topology, library=configuration.library)
+        transform = make_transform(scheme, configuration.topology)
+        laps = 3
+        for _ in range(laps * transform.order()):
+            nodes_per_pe = configuration.tanner_nodes_per_pe(controller.current_mapping)
+            cost = controller.apply_migration(transform)
+            fresh = unit.migration_cost(transform, nodes_per_pe)
+            assert cost.cycles == fresh.cycles
+            assert cost.total_energy_j == fresh.total_energy_j
+            assert dict(cost.energy_per_unit_j) == fresh.energy_per_unit_j
+            topology = configuration.topology
+            for coord, energy in fresh.energy_per_unit_j.items():
+                assert cost.energy_vector[topology.node_id(coord)] == energy
+        assert controller.migration_cost_computations == transform.order()
+        assert controller.migration_cache_hits == (laps - 1) * transform.order()
 
     def test_distinct_transforms_not_conflated(self, controller_a, chip_a):
         """Two transforms from the same mapping must cache separately."""

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
 from repro.migration.io_interface import IoAddressTranslator
+from repro.migration.plan import MigrationStage, lower_transform
+from repro.migration.scheduler import PeMove
 from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 
 PERIOD_S = 5e-4
 
-#: One step: a sudden transform, a plan begun in some style, a stage, or a
-#: mid-plan checkpoint round trip.  Steps that do not fit the controller's
+#: One step: a sudden transform, a plan started in some style (its first
+#: stage runs at once), a stage, or a mid-plan checkpoint round trip.  Steps that do not fit the controller's
 #: state (a stage with no plan in flight, a transform mid-plan) advance the
 #: plan instead, as the epoch loop does.
 steps = st.lists(
@@ -110,8 +112,18 @@ def _step(controller, reference, action):
     if kind == "plan":
         _, name, style, units = action
         transform = make_transform(name, topology)
-        controller.begin_plan(transform, style=style, units_per_epoch=units)
-        return _step(controller, reference, ("stage",))
+        # Payloads only size cycles and energy; the stage partition is the
+        # same without them.
+        expected = lower_transform(
+            transform, controller.migration_unit, style=style, units_per_epoch=units
+        )
+        moves = expected.stages[0].mapping_moves()
+        cost = controller.apply_migration(
+            transform, style=style, units_per_epoch=units, congestion=1.25
+        )
+        assert cost.stage_count == expected.num_stages
+        reference.move(lambda coord: moves.get(coord, coord))
+        return cost
     return None
 
 
@@ -155,7 +167,7 @@ def test_permutation_state_tracks_coordinate_walk(chip, actions):
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_translator_rejects_non_closed_stage_moves(data):
+def test_non_closed_stage_moves_are_rejected(data):
     configuration = get_configuration("A")
     topology = configuration.topology
     coords = list(topology.coordinates())
@@ -169,14 +181,20 @@ def test_translator_rejects_non_closed_stage_moves(data):
         )
     )
     moves = dict(zip(sources, destinations))
-    translator = IoAddressTranslator(topology)
+    stage = MigrationStage(
+        moves=tuple(
+            PeMove(source=source, destination=destination, payload_flits=1)
+            for source, destination in moves.items()
+        ),
+        cycles=0,
+        energy_j=0.0,
+        energy_per_unit_j={},
+    )
     if set(moves) == set(moves.values()):
-        translator.record_moves(moves, "closed")
+        translator = IoAddressTranslator(topology)
+        translator.record_step(stage.node_step(topology), "closed")
         for source, destination in moves.items():
             assert translator.current_location(source) == destination
     else:
         with pytest.raises(ValueError, match="closed relocation"):
-            translator.record_moves(moves, "open")
-        assert translator.migrations_applied == 0
-        for coord in coords:
-            assert translator.current_location(coord) == coord
+            stage.node_step(topology)

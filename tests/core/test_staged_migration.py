@@ -1,19 +1,25 @@
 """Staged-migration equivalence suite.
 
-Two pins: the ``sudden`` default rides the unchanged legacy path (the
-existing parity suite covers its numbers), and the staged execution
-machinery — ``begin_plan``/``advance_plan`` driven from the epoch loop —
-reproduces the legacy trajectory to <1e-9 when every plan collapses to one
-stage (fluid with an over-sized budget).  The rest of the suite covers the
-genuinely-staged behaviours: plan accounting, stall semantics, the
-``migration_in_progress`` policy flag and the solve-count guarantee.
+Every migration is a plan run by one stage step: ``apply_migration`` lowers
+the transform, arms the plan and runs stage 0 (a ``sudden`` plan has only
+that stage), and ``advance_plan`` runs each later stage from the epoch
+loop.  A fluid plan whose budget collapses it to one stage reproduces the
+sudden trajectory to <1e-9.  The rest of the suite covers the genuinely
+staged behaviours: plan accounting, stall semantics, the
+``migration_in_progress`` policy flag, the solve-count guarantee, the NoC
+pricing rule and the validation of checkpointed plans.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import repro.core.experiment as experiment_module
 from repro import obs
 from repro.chips import get_configuration
+from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.policy import (
     AdaptiveMigrationPolicy,
@@ -21,6 +27,9 @@ from repro.core.policy import (
     PolicyContext,
     ThresholdMigrationPolicy,
 )
+from repro.migration.transforms import XYShiftTransform
+from repro.scenarios.compile import compile_scenario
+from repro.scenarios.registry import get_scenario
 from repro.thermal.grid import GridThermalModel
 
 STEADY = dict(num_epochs=13, mode="steady", settle_epochs=10)
@@ -74,7 +83,7 @@ def _assert_trajectories_match(result, reference, abs_tol=1e-9):
 @pytest.mark.parametrize("config_name", ["A", "E"])
 @pytest.mark.parametrize("policy_kind", ["threshold", "adaptive"])
 class TestSingleStageParity:
-    """Fluid with a one-stage budget must match the legacy sudden path."""
+    """Fluid with a one-stage budget must match the sudden plan."""
 
     @pytest.mark.parametrize("mode_kwargs", [STEADY, TRANSIENT], ids=["steady", "transient"])
     def test_hotspot_model_parity(self, config_name, policy_kind, mode_kwargs):
@@ -316,3 +325,94 @@ class TestPeriodSchedule:
             return experiment.run().throughput_penalty
 
         assert penalty(4.0) < penalty(1.0)
+
+
+def _stage_cycles(compiled, priced):
+    """Per-event stage cycles of one scenario run, NoC-priced or not."""
+    if not priced:
+        compiled = dataclasses.replace(compiled, noc_model=None, noc_rates=None)
+    experiment = compiled.experiment()
+    experiment.run()
+    return [event.cycles for event in experiment.controller.events]
+
+
+class TestCongestionPricingRule:
+    """A sudden plan halts the whole array, so its one stage is priced
+    congestion-free; fluid and batched stages pay the epoch's NoC load."""
+
+    def test_sudden_burst_migrations_are_congestion_free(self, monkeypatch):
+        compiled = compile_scenario(get_scenario("noc-congestion-burst"))
+        assert compiled.settings.migration_style == "sudden"
+        # The bursts do congest the NoC on migrating epochs (every epoch
+        # after the static epoch 0) ...
+        factors = [
+            experiment_module.congestion_factor(compiled.noc_model, rate)
+            for rate in compiled.noc_rates[1:]
+        ]
+        assert max(factors) > 1.0
+        calls = []
+        original = experiment_module.congestion_factor
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiment_module, "congestion_factor", counting)
+        priced = _stage_cycles(compiled, priced=True)
+        # ... yet no stage is probed or inflated.
+        assert calls == []
+        assert priced == _stage_cycles(compiled, priced=False)
+        assert len(priced) == compiled.settings.num_epochs - 1
+
+    def test_fluid_burst_stages_are_inflated(self):
+        compiled = compile_scenario(get_scenario("fluid-under-burst"))
+        assert compiled.settings.migration_style == "fluid"
+        priced = _stage_cycles(compiled, priced=True)
+        free = _stage_cycles(compiled, priced=False)
+        assert len(priced) == len(free)
+        assert all(p >= f for p, f in zip(priced, free))
+        assert any(p > f for p, f in zip(priced, free))
+
+
+class TestCheckpointedPlanValidation:
+    """``restore_state`` rejects a malformed in-flight plan up front."""
+
+    @pytest.fixture
+    def state(self, chip_a):
+        controller = RuntimeReconfigurationController(chip_a)
+        controller.apply_migration(
+            XYShiftTransform(chip_a.topology), style="fluid", units_per_epoch=2
+        )
+        assert controller.migration_in_progress
+        return json.loads(json.dumps(controller.state_dict()))
+
+    def _assert_rejected(self, chip_a, state, match):
+        controller = RuntimeReconfigurationController(chip_a)
+        before = controller.state_dict()
+        with pytest.raises(ValueError, match=match):
+            controller.restore_state(state)
+        assert controller.state_dict() == before
+        assert not controller.migration_in_progress
+
+    def test_valid_plan_restores(self, chip_a, state):
+        controller = RuntimeReconfigurationController(chip_a)
+        controller.restore_state(state)
+        assert controller.plan_next_stage == 1
+        assert controller.state_dict() == state
+
+    def test_next_stage_past_the_end_rejected(self, chip_a, state):
+        state["plan"]["next_stage"] = 99
+        self._assert_rejected(chip_a, state, "next_stage 99 is out of range")
+
+    def test_negative_next_stage_rejected(self, chip_a, state):
+        state["plan"]["next_stage"] = -1
+        self._assert_rejected(chip_a, state, "next_stage -1 is out of range")
+
+    def test_plan_without_stages_rejected(self, chip_a, state):
+        state["plan"]["plan"]["stages"] = []
+        self._assert_rejected(chip_a, state, "0-stage plan")
+
+    def test_non_closed_stage_rejected(self, chip_a, state):
+        moves = state["plan"]["plan"]["stages"][1]["moves"]
+        moves[0][1] = moves[0][0]  # one PE of the cycle stays put
+        self._assert_rejected(chip_a, state, "closed relocation")

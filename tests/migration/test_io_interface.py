@@ -12,6 +12,11 @@ def translator4(mesh4):
     return IoAddressTranslator(mesh4)
 
 
+def _migrate(translator, transform):
+    """Record a sudden migration: one stage, the whole node permutation."""
+    translator.record_step(transform.node_permutation(), transform.name)
+
+
 class TestTracking:
     def test_identity_before_any_migration(self, translator4, mesh4):
         for coord in mesh4.coordinates():
@@ -20,7 +25,7 @@ class TestTracking:
 
     def test_single_migration(self, translator4, mesh4):
         transform = XYShiftTransform(mesh4)
-        translator4.record_migration(transform)
+        _migrate(translator4, transform)
         assert translator4.migrations_applied == 1
         assert translator4.current_location((0, 0)) == (1, 1)
         assert translator4.original_location((1, 1)) == (0, 0)
@@ -28,8 +33,8 @@ class TestTracking:
     def test_composition_of_migrations(self, translator4, mesh4):
         shift = XYShiftTransform(mesh4)
         rotation = RotationTransform(mesh4)
-        translator4.record_migration(shift)
-        translator4.record_migration(rotation)
+        _migrate(translator4, shift)
+        _migrate(translator4, rotation)
         expected = rotation(shift((0, 0)))
         assert translator4.current_location((0, 0)) == expected
         assert translator4.history == ["xy-shift", "rotation"]
@@ -37,12 +42,12 @@ class TestTracking:
     def test_full_orbit_returns_home(self, translator4, mesh4):
         transform = XYShiftTransform(mesh4)
         for _ in range(transform.order()):
-            translator4.record_migration(transform)
+            _migrate(translator4, transform)
         for coord in mesh4.coordinates():
             assert translator4.current_location(coord) == coord
 
     def test_reset(self, translator4, mesh4):
-        translator4.record_migration(XYShiftTransform(mesh4))
+        _migrate(translator4, XYShiftTransform(mesh4))
         translator4.reset()
         assert translator4.migrations_applied == 0
         assert translator4.current_location((3, 3)) == (3, 3)
@@ -56,7 +61,7 @@ class TestTracking:
 
 class TestPacketTranslation:
     def test_incoming_packet_redirected(self, translator4, mesh4):
-        translator4.record_migration(XYShiftTransform(mesh4))
+        _migrate(translator4, XYShiftTransform(mesh4))
         external = Packet(source=(0, 0), destination=(2, 2), size_flits=3)
         translated = translator4.translate_incoming(external)
         assert translated.destination == (3, 3)
@@ -64,7 +69,7 @@ class TestPacketTranslation:
         assert translated.size_flits == 3
 
     def test_outgoing_packet_source_restored(self, translator4, mesh4):
-        translator4.record_migration(XYShiftTransform(mesh4))
+        _migrate(translator4, XYShiftTransform(mesh4))
         # The workload originally at (2,2) now runs at (3,3) and sends a packet.
         outbound = Packet(source=(3, 3), destination=(0, 0), size_flits=2)
         translated = translator4.translate_outgoing(outbound)
@@ -74,7 +79,7 @@ class TestPacketTranslation:
         """The outside world addresses PE (1,2); after any number of
         migrations the reply appears to come from (1,2) again."""
         for transform in (XYShiftTransform(mesh4), RotationTransform(mesh4)):
-            translator4.record_migration(transform)
+            _migrate(translator4, transform)
         inbound = Packet(source=(0, 0), destination=(1, 2), size_flits=1)
         redirected = translator4.translate_incoming(inbound)
         reply = Packet(source=redirected.destination, destination=(0, 0), size_flits=1)
