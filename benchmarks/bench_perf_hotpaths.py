@@ -19,6 +19,9 @@ of the array-native pipeline, and records everything in ``BENCH_perf.json``:
   floorplan — the resolution ablation now rides the same fast paths.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,9 @@ from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.rc_model import build_thermal_network
 from repro.thermal.solver import ThermalSolver
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import block_oracle  # noqa: E402  (the seed per-map reference path)
 
 
 def test_batched_sparse_ldpc_vs_dense_loop(benchmark):
@@ -251,40 +257,25 @@ def test_batched_steady_experiment(benchmark, chip_a):
     # Time the thermal-evaluation stage both ways over the same power rows
     # (the policy/controller loop is identical in both pipelines, so the
     # solve stage is the part the batching changed).  Seed reference: one
-    # dict round-trip and one solve per epoch plus the baseline and the
-    # settled-average solves.
+    # dict round-trip and one block-name solve per epoch plus the baseline
+    # and the settled-average solves.
     model = chip_a.thermal_model
     topology = chip_a.topology
-    with perf_utils.timed() as reference_timer:
-        baseline = ThermalMetrics.from_map(model.steady_state_by_coord(chip_a.power_map()))
-        per_epoch = [
-            ThermalMetrics.from_map(model.steady_state_by_coord(epoch.power_map))
-            for epoch in result.epochs
-        ]
-        averaged = {coord: 0.0 for coord in topology.coordinates()}
-        for epoch in result.epochs[-40:]:
-            for coord, watts in epoch.power_map.items():
-                averaged[coord] += watts / 40
-        settled = ThermalMetrics.from_map(model.steady_state_by_coord(averaged))
+    rows = np.vstack([epoch.power_w for epoch in result.epochs])
+    static_power = chip_a.power_vector()
 
-    rows = np.vstack(
-        [
-            np.array(
-                [epoch.power_map[coord] for coord in topology.coordinates()]
-            )
-            for epoch in result.epochs
-        ]
-    )
-    static_map = chip_a.power_map()
+    def solve_one(power):
+        temps = block_oracle.steady_by_coord(model, block_oracle.as_map(topology, power))
+        return block_oracle.metrics(topology, temps)
+
+    with perf_utils.timed() as reference_timer:
+        baseline = solve_one(static_power)
+        per_epoch = [solve_one(row) for row in rows]
+        settled = solve_one(rows[-40:].mean(axis=0))
+
     with perf_utils.timed() as batched_timer:
         batch = np.vstack(
-            [
-                np.array([static_map[coord] for coord in topology.coordinates()])[
-                    np.newaxis, :
-                ],
-                rows,
-                rows[-40:].mean(axis=0)[np.newaxis, :],
-            ]
+            [static_power[np.newaxis, :], rows, rows[-40:].mean(axis=0)[np.newaxis, :]]
         )
         temperatures = model.steady_temperatures(batch)
         batched_metrics = [
@@ -305,7 +296,7 @@ def test_batched_steady_experiment(benchmark, chip_a):
         throughput=settings.num_epochs / batched_timer.seconds,
         throughput_unit="epochs/s",
         baseline_wall_s=reference_timer.seconds,
-        baseline="per-epoch steady_state_by_coord loop (seed)",
+        baseline="per-epoch block-name steady solve loop (seed)",
         epochs=settings.num_epochs,
     )
     print_rows(
@@ -361,23 +352,23 @@ def test_grid_model_steady_batch(benchmark, chip_a):
     )
     rng = np.random.default_rng(7)
     rows = 1.0 + 2.0 * rng.random((41, chip_a.topology.num_nodes))
-    coords = list(chip_a.topology.coordinates())
 
+    topology = chip_a.topology
     with perf_utils.timed() as reference_timer:
         reference = [
-            grid.steady_state_by_coord(
-                {coord: rows[index, chip_a.topology.node_id(coord)] for coord in coords}
+            list(
+                block_oracle.steady_by_coord(
+                    grid, block_oracle.as_map(topology, row)
+                ).values()
             )
-            for index in range(rows.shape[0])
+            for row in rows
         ]
     with perf_utils.timed() as batch_timer:
         batch = benchmark.pedantic(
             grid.steady_temperatures, args=(rows,), rounds=1, iterations=1
         )
 
-    for index, expected in enumerate(reference):
-        for unit, coord in enumerate(coords):
-            assert batch[index, unit] == pytest.approx(expected[coord], abs=1e-9)
+    np.testing.assert_allclose(batch, np.vstack(reference), rtol=0, atol=1e-9)
 
     speedup = reference_timer.seconds / batch_timer.seconds
     perf_utils.record_perf(
@@ -386,7 +377,7 @@ def test_grid_model_steady_batch(benchmark, chip_a):
         throughput=rows.shape[0] / batch_timer.seconds,
         throughput_unit="maps/s",
         baseline_wall_s=reference_timer.seconds,
-        baseline="per-map grid steady_state_by_coord loop (seed)",
+        baseline="per-map grid block-name steady solve loop (seed)",
         maps=rows.shape[0],
         resolution=3,
     )

@@ -14,6 +14,8 @@ engaged across the suite.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,9 @@ from repro.analysis.report import compare_scenarios
 from repro.chips import get_configuration
 from repro.scenarios import all_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import block_oracle  # noqa: E402  (the seed per-map reference path)
 
 
 def test_every_scenario_is_one_batched_evaluation():
@@ -139,9 +144,7 @@ def test_batched_feedback_loop(benchmark, chip_a):
     steady experiment.
     """
     from repro.core.experiment import ExperimentSettings, ThermalExperiment
-    from repro.core.metrics import ThermalMetrics
     from repro.core.policy import ThresholdMigrationPolicy
-    from repro.power.trace import vector_to_map
 
     num_epochs = 40
     stride = 4
@@ -156,6 +159,12 @@ def test_batched_feedback_loop(benchmark, chip_a):
     from repro.core.controller import RuntimeReconfigurationController
     from repro.core.policy import PolicyContext
 
+    def solve_one(power):
+        temps = block_oracle.steady_by_coord(
+            model, block_oracle.as_map(chip_a.topology, power)
+        )
+        return block_oracle.metrics(chip_a.topology, temps)
+
     with perf_utils.timed() as reference_timer:
         policy = make_policy()
         controller = RuntimeReconfigurationController(chip_a)
@@ -165,16 +174,12 @@ def test_batched_feedback_loop(benchmark, chip_a):
         reference_decisions = []
         for epoch_index in range(num_epochs):
             if previous_thermal is None:
-                previous_thermal = ThermalMetrics.from_map(
-                    model.steady_state_by_coord(
-                        vector_to_map(chip_a.topology, previous_power)
-                    )
-                )
+                previous_thermal = solve_one(previous_power)
             context = PolicyContext(
                 epoch_index=epoch_index,
                 current_thermal=previous_thermal,
-                current_power_map=vector_to_map(chip_a.topology, previous_power),
                 topology=chip_a.topology,
+                current_power_vector=previous_power,
             )
             transform = policy.decide(context)
             cost = None
@@ -184,9 +189,7 @@ def test_batched_feedback_loop(benchmark, chip_a):
             else:
                 reference_decisions.append(None)
             power = controller.epoch_power_vector(period_s, cost)
-            previous_thermal = ThermalMetrics.from_map(
-                model.steady_state_by_coord(vector_to_map(chip_a.topology, power))
-            )
+            previous_thermal = solve_one(power)
             previous_power = power
             controller.advance_epoch()
 

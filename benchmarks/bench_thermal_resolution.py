@@ -7,6 +7,7 @@ agrees with the block model on the absolute peaks to within a degree and
 reports essentially the same *reduction* from migration.
 """
 
+import numpy as np
 import pytest
 
 import perf_utils
@@ -18,16 +19,13 @@ from repro.thermal.grid import GridThermalModel
 
 
 def _orbit_average_power(chip, transform):
-    """Time-averaged per-unit power over one full orbit of a transform."""
+    """Time-averaged row-major per-unit power over one full orbit of a transform."""
     mapping = Mapping.identity(chip.topology)
     order = transform.order()
-    averaged = {coord: 0.0 for coord in chip.topology.coordinates()}
-    per_task = chip.per_task_power()
+    averaged = np.zeros(chip.topology.num_nodes)
     for _ in range(order):
         mapping = mapping.apply_transform(transform)
-        power = {mapping.physical_of(task): watts for task, watts in per_task.items()}
-        for coord, watts in power.items():
-            averaged[coord] += watts / order
+        averaged += chip.power_vector(mapping) / order
     return averaged
 
 
@@ -38,7 +36,7 @@ def test_block_vs_grid_peak_reduction(benchmark, configurations):
         rows = []
         for chip in configurations:
             transform = XYShiftTransform(chip.topology)
-            static_power = chip.power_map()
+            static_power = chip.power_vector()
             migrated_power = _orbit_average_power(chip, transform)
 
             block = chip.thermal_model

@@ -31,6 +31,7 @@ from repro.ldpc import (
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
 from repro.noc import MeshTopology, NocSimulator
 from repro.placement import Mapping
+from repro.power import map_to_vector
 
 
 def main() -> None:
@@ -73,19 +74,20 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 5. Where the activity (and therefore the heat) lands.
-    activity = {coord: float(v) for coord, v in sim_result.activity_per_node().items()}
+    # The renderers take row-major per-PE vectors.
+    activity = map_to_vector(topology, sim_result.activity_per_node())
     print(render_grid(topology, activity,
                       title="Per-PE router switching activity for one iteration",
                       unit="events", cell_format="{:8.0f}"))
     computation = workload.computation_ops_per_iteration()
-    ops_map = {mapping.physical_of(task): float(computation[task])
-               for task in range(topology.num_nodes)}
+    ops = map_to_vector(topology, {mapping.physical_of(task): float(computation[task])
+                                   for task in range(topology.num_nodes)})
     print()
-    print(render_grid(topology, ops_map,
+    print(render_grid(topology, ops,
                       title="Per-PE computation operations for one iteration",
                       unit="ops", cell_format="{:8.0f}"))
     print()
-    hottest = max(activity, key=activity.get)
+    hottest = topology.coordinate(int(activity.argmax()))
     print(f"Busiest router: {hottest} — under a static mapping this imbalance repeats "
           "every iteration, which is exactly what creates the persistent hotspot the "
           "paper's runtime reconfiguration breaks up.")

@@ -13,6 +13,8 @@ Run with:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import (
     ExperimentSettings,
     PeriodicMigrationPolicy,
@@ -32,7 +34,10 @@ def main() -> None:
     print()
 
     # Baseline: the thermally-aware static mapping, no migration.
-    baseline_temps = chip.thermal_model.steady_state_by_coord(chip.power_map())
+    # Per-unit power and temperature are row-major vectors over the mesh.
+    baseline_temps = chip.thermal_model.steady_temperatures(
+        chip.power_vector()[np.newaxis, :]
+    )[0]
     print(render_grid(chip.topology, baseline_temps,
                       title="Baseline steady-state temperatures", unit="deg C"))
     print()
@@ -56,12 +61,10 @@ def main() -> None:
 
     # Settled temperatures under migration: the time-averaged power map of the
     # final epochs drives the die.
-    last_epochs = result.epochs[-40:]
-    averaged = {coord: 0.0 for coord in chip.topology.coordinates()}
-    for epoch in last_epochs:
-        for coord, watts in epoch.power_map.items():
-            averaged[coord] += watts / len(last_epochs)
-    migrated_temps = chip.thermal_model.steady_state_by_coord(averaged)
+    averaged = np.mean([epoch.power_w for epoch in result.epochs[-40:]], axis=0)
+    migrated_temps = chip.thermal_model.steady_temperatures(
+        averaged[np.newaxis, :]
+    )[0]
     print(render_grid(chip.topology, migrated_temps,
                       title="Settled temperatures with X-Y shift migration", unit="deg C"))
     print()

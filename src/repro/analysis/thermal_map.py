@@ -2,31 +2,29 @@
 
 Keeps the examples and reports dependency-free: no matplotlib is available in
 the reproduction environment, so figures are emitted as aligned text grids
-and CSV files instead.
+and CSV files instead.  Every renderer takes a row-major vector over the mesh
+(entry ``topology.node_id(coord)`` is ``coord``'s value), the format of the
+power-trace rows and batched temperature rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..noc.topology import Coordinate, MeshTopology
-from ..power.trace import vector_to_map
+from ..noc.topology import MeshTopology
 
 
-def _as_map(topology: MeshTopology, values) -> Dict[Coordinate, float]:
-    """Accept either a per-coordinate dict or a row-major vector.
-
-    Lets the renderers consume rows of the array-native pipeline (power
-    trace rows, batched temperature rows) without the caller building the
-    dict view by hand.
-    """
-    if isinstance(values, dict):
-        return values
-    return vector_to_map(topology, np.asarray(values))
+def _as_grid(topology: MeshTopology, values) -> np.ndarray:
+    """``(height, width)`` view of a row-major vector (``grid[y, x]``)."""
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (topology.num_nodes,):
+        raise ValueError(
+            f"expected {topology.num_nodes} values, one per PE, got shape {vector.shape}"
+        )
+    return vector.reshape(topology.height, topology.width)
 
 
 def render_grid(
@@ -36,22 +34,18 @@ def render_grid(
     unit: str = "",
     cell_format: str = "{:7.2f}",
 ) -> str:
-    """Render a per-coordinate value map (dict or row-major vector) as a grid.
+    """Render a row-major per-PE vector as a grid.
 
     Row ``y = height - 1`` is printed first so the output matches the usual
     mathematical orientation (y grows upwards).
     """
-    values = _as_map(topology, values)
-    missing = [c for c in topology.coordinates() if c not in values]
-    if missing:
-        raise ValueError(f"missing values for {len(missing)} coordinates, e.g. {missing[0]}")
+    grid = _as_grid(topology, values)
     lines = []
     if title:
         suffix = f" ({unit})" if unit else ""
         lines.append(f"{title}{suffix}")
     for y in range(topology.height - 1, -1, -1):
-        row = [cell_format.format(values[(x, y)]) for x in range(topology.width)]
-        lines.append(" ".join(row))
+        lines.append(" ".join(cell_format.format(value) for value in grid[y]))
     return "\n".join(lines)
 
 
@@ -61,15 +55,15 @@ def render_heat_bar(
     levels: str = " .:-=+*#%@",
 ) -> str:
     """Coarse character heat map (one character per PE, hotter = denser)."""
-    values = _as_map(topology, values)
-    lo = min(values.values())
-    hi = max(values.values())
+    grid = _as_grid(topology, values)
+    lo = grid.min()
+    hi = grid.max()
     span = hi - lo if hi > lo else 1.0
     lines = []
     for y in range(topology.height - 1, -1, -1):
         row = []
-        for x in range(topology.width):
-            frac = (values[(x, y)] - lo) / span
+        for value in grid[y]:
+            frac = (value - lo) / span
             idx = min(len(levels) - 1, int(frac * (len(levels) - 1) + 0.5))
             row.append(levels[idx])
         lines.append("".join(row))
@@ -82,19 +76,19 @@ def to_csv(
     value_name: str = "value",
 ) -> str:
     """CSV text with columns x, y, <value_name>."""
-    values = _as_map(topology, values)
+    grid = _as_grid(topology, values)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["x", "y", value_name])
-    for coord in topology.coordinates():
-        writer.writerow([coord[0], coord[1], values[coord]])
+    for x, y in topology.coordinates():
+        writer.writerow([x, y, grid[y, x]])
     return buffer.getvalue()
 
 
-def difference_map(
-    a: Dict[Coordinate, float], b: Dict[Coordinate, float]
-) -> Dict[Coordinate, float]:
-    """Per-coordinate ``a - b`` (e.g. temperature reduction map)."""
-    if set(a) != set(b):
-        raise ValueError("maps cover different coordinates")
-    return {coord: a[coord] - b[coord] for coord in a}
+def difference_map(a, b) -> np.ndarray:
+    """Per-PE ``a - b`` of two row-major vectors (e.g. a temperature reduction)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"maps cover different meshes: shapes {a.shape} and {b.shape}")
+    return a - b

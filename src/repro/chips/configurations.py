@@ -94,22 +94,13 @@ class ChipConfiguration:
             for task in range(self.num_units)
         }
 
-    def power_map(self, mapping: Optional[Mapping] = None) -> Dict[Coordinate, float]:
-        """Per-PE power when tasks sit according to ``mapping``.
-
-        With the default (static) mapping this returns the calibrated profile
-        itself.
-        """
-        mapping = mapping or self.static_mapping
-        per_task = self.per_task_power()
-        return {mapping.physical_of(task): watts for task, watts in per_task.items()}
-
     def power_vector(self, mapping: Optional[Mapping] = None) -> np.ndarray:
         """Row-major per-PE power vector when tasks sit according to ``mapping``.
 
-        The array-native counterpart of :meth:`power_map`: entry
-        ``topology.node_id(coord)`` carries the power at ``coord``, exactly
-        the coordinate index :class:`repro.power.trace.PowerTrace` rows use.
+        Entry ``topology.node_id(coord)`` carries the power at ``coord``,
+        exactly the coordinate index :class:`repro.power.trace.PowerTrace`
+        rows use.  With the default (static) mapping this is the calibrated
+        profile itself.
         """
         mapping = mapping or self.static_mapping
         vector = np.zeros(self.num_units)
@@ -120,7 +111,7 @@ class ChipConfiguration:
     # ------------------------------------------------------------------
     def base_peak_temperature(self) -> float:
         """Steady-state peak temperature of the static mapping (no migration)."""
-        return self.thermal_model.peak_temperature(self.power_map())
+        return self.thermal_model.peak_temperature(self.power_vector())
 
     def tanner_nodes_per_task(self) -> Dict[int, int]:
         """Number of Tanner nodes owned by each logical task (state sizing)."""

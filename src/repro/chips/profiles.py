@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
+from ..power.trace import map_to_vector
 from ..thermal.hotspot import HotSpotModel
 
 
@@ -121,7 +122,9 @@ def calibrate_profile(
         )
     if sum(profile.values()) <= 0.0:
         raise ValueError("relative profile must dissipate some power")
-    unit_peak = thermal_model.peak_temperature(profile)
+    unit_peak = thermal_model.peak_temperature(
+        map_to_vector(thermal_model.topology, profile)
+    )
     rise = unit_peak - ambient
     if rise <= 1e-9:
         raise ValueError("relative profile produces no temperature rise")

@@ -36,7 +36,6 @@ from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..placement.mapping import Mapping
-from ..power.trace import vector_to_map
 
 _OBS_PLANS = _obs_counter("migration.plans")
 _OBS_STAGES = _obs_counter("migration.stages")
@@ -485,20 +484,6 @@ class RuntimeReconfigurationController:
             power += migration_cost.energy_vector / period_s
         return power
 
-    def epoch_power_map(
-        self,
-        period_s: float,
-        migration_cost: Optional[StageCost] = None,
-    ) -> Dict[Coordinate, float]:
-        """Dict view of :meth:`epoch_power_vector` (for policies/reports)."""
-        return vector_to_map(
-            self.topology, self.epoch_power_vector(period_s, migration_cost)
-        )
-
     def static_power_vector(self) -> np.ndarray:
         """Power vector of the unmigrated (static) mapping — the baseline."""
         return self.configuration.power_vector(self.configuration.static_mapping)
-
-    def static_power_map(self) -> Dict[Coordinate, float]:
-        """Power map of the unmigrated (static) mapping — the baseline."""
-        return self.configuration.power_map(self.configuration.static_mapping)

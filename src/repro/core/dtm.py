@@ -30,8 +30,6 @@ from typing import Dict, List
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
-from ..noc.topology import Coordinate
-from ..power.trace import map_to_vector
 from .experiment import ExperimentSettings, ThermalExperiment
 from .policy import PeriodicMigrationPolicy
 
@@ -48,6 +46,22 @@ class DtmOperatingPoint:
     @property
     def throughput_penalty(self) -> float:
         return 1.0 - self.throughput_fraction
+
+
+def _operating_point(
+    configuration: ChipConfiguration,
+    label: str,
+    throughput_fraction: float,
+    power: np.ndarray,
+) -> DtmOperatingPoint:
+    """Steady peak and mean temperature of one throttled power vector."""
+    temps = configuration.thermal_model.steady_temperatures(power[np.newaxis, :])[0]
+    return DtmOperatingPoint(
+        label=label,
+        throughput_fraction=throughput_fraction,
+        peak_celsius=float(temps.max()),
+        mean_celsius=float(np.mean(temps)),
+    )
 
 
 class StopGoThrottling:
@@ -68,27 +82,21 @@ class StopGoThrottling:
         self.configuration = configuration
         self.idle_fraction_of_power = idle_fraction_of_power
 
-    def power_map(self, duty_cycle: float) -> Dict[Coordinate, float]:
-        """Effective per-unit power at a given duty cycle."""
+    def power_vector(self, duty_cycle: float) -> np.ndarray:
+        """Effective row-major per-unit power at a given duty cycle."""
         if not 0.0 < duty_cycle <= 1.0:
             raise ValueError("duty cycle must be in (0, 1]")
-        base = self.configuration.power_map()
         idle = self.idle_fraction_of_power
-        return {
-            coord: watts * (duty_cycle + (1.0 - duty_cycle) * idle)
-            for coord, watts in base.items()
-        }
+        return self.configuration.power_vector() * (
+            duty_cycle + (1.0 - duty_cycle) * idle
+        )
 
     def operating_point(self, duty_cycle: float) -> DtmOperatingPoint:
-        temps = self.configuration.thermal_model.steady_state_by_coord(
-            self.power_map(duty_cycle)
-        )
-        values = list(temps.values())
-        return DtmOperatingPoint(
-            label=f"{self.name} d={duty_cycle:.2f}",
-            throughput_fraction=duty_cycle,
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
+        return _operating_point(
+            self.configuration,
+            f"{self.name} d={duty_cycle:.2f}",
+            duty_cycle,
+            self.power_vector(duty_cycle),
         )
 
     def duty_cycle_for_peak(self, target_peak_celsius: float) -> float:
@@ -99,9 +107,7 @@ class StopGoThrottling:
         full and gated operating points — evaluated with one batched steady
         solve — clamped to (0, 1].
         """
-        base = map_to_vector(
-            self.configuration.topology, self.configuration.power_map()
-        )
+        base = self.configuration.power_vector()
         idle_fraction = self.idle_fraction_of_power
         scales = np.array(
             [d + (1.0 - d) * idle_fraction for d in (1.0, 1e-6)]
@@ -158,27 +164,22 @@ class DvfsThrottling:
             return frequency_ratio * voltage_ratio**2
         return frequency_ratio
 
-    def power_map(self, frequency_ratio: float) -> Dict[Coordinate, float]:
+    def power_vector(self, frequency_ratio: float) -> np.ndarray:
+        """Effective row-major per-unit power at a given frequency ratio."""
         if not 0.0 < frequency_ratio <= 1.0:
             raise ValueError("frequency ratio must be in (0, 1]")
-        base = self.configuration.power_map()
         leak = self.leakage_fraction_of_power
         dynamic_scale = self._power_scale(frequency_ratio)
-        return {
-            coord: watts * (leak + (1.0 - leak) * dynamic_scale)
-            for coord, watts in base.items()
-        }
+        return self.configuration.power_vector() * (
+            leak + (1.0 - leak) * dynamic_scale
+        )
 
     def operating_point(self, frequency_ratio: float) -> DtmOperatingPoint:
-        temps = self.configuration.thermal_model.steady_state_by_coord(
-            self.power_map(frequency_ratio)
-        )
-        values = list(temps.values())
-        return DtmOperatingPoint(
-            label=f"{self.name} f={frequency_ratio:.2f}",
-            throughput_fraction=frequency_ratio,
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
+        return _operating_point(
+            self.configuration,
+            f"{self.name} f={frequency_ratio:.2f}",
+            frequency_ratio,
+            self.power_vector(frequency_ratio),
         )
 
     def frequency_for_peak(
@@ -197,9 +198,7 @@ class DvfsThrottling:
         while ratio > resolution:
             ratios.append(ratio)
             ratio -= resolution
-        base = map_to_vector(
-            self.configuration.topology, self.configuration.power_map()
-        )
+        base = self.configuration.power_vector()
         leak = self.leakage_fraction_of_power
         scales = np.array(
             [leak + (1.0 - leak) * self._power_scale(r) for r in ratios]

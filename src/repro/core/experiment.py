@@ -19,11 +19,11 @@ coordinate index), steady mode evaluates the baseline, every epoch and the
 settled-regime average with **one** multi-RHS solve against the cached
 factorisation, and transient mode routes the whole piecewise-constant trace
 through **one** ``transient_sequence`` call with thermal state carried across
-epochs.  Dict views survive only at the edges (lazily-built policy-context
-views and the per-epoch records).  Policies that declare
+epochs.  Per-unit power and temperature stay row-major vectors all the way
+to the per-epoch records.  Policies that declare
 ``requires_thermal_feedback`` (threshold/adaptive) get their temperature
 estimates from a :class:`FeedbackPlan`: one multi-RHS steady batch per
-``feedback_stride`` epochs instead of a dict-round-tripped solve per epoch.
+``feedback_stride`` epochs instead of a solve per epoch.
 Any :class:`repro.thermal.model.ThermalModel` — the
 block-level :class:`repro.thermal.hotspot.HotSpotModel` or the refined
 :class:`repro.thermal.grid.GridThermalModel` — can drive the experiment.
@@ -794,9 +794,7 @@ class ThermalExperiment:
         Epoch indices are **global** (``self._next_epoch + local``), so
         policies, the feedback plan's refresh cadence and the migration
         records behave identically regardless of how the horizon is
-        windowed.  The loop itself is dict-free: policies receive the
-        previous power row as a vector (the dict view is built lazily only
-        if a policy reads it).
+        windowed.  Policies receive the previous power row as a vector.
 
         Every migration is a :class:`~repro.migration.plan.MigrationPlan`
         run one stage per epoch: if a plan is in flight the loop advances
@@ -940,16 +938,16 @@ class ThermalExperiment:
         epoch_metrics: List[ThermalMetrics],
         start_epoch: int = 0,
     ) -> List[EpochRecord]:
-        """Per-epoch records (dict views of the trace at the report edge)."""
+        """Per-epoch records; each carries its row of the power trace."""
+        powers = trace.powers
         return [
             EpochRecord(
                 epoch_index=start_epoch + idx,
-                mapping_permutation=[],
                 transform_applied=names[idx],
                 migration_cycles=costs[idx].cycles if costs[idx] else 0,
                 migration_energy_j=costs[idx].total_energy_j if costs[idx] else 0.0,
                 thermal=epoch_metrics[idx],
-                power_map=trace.power_map(idx),
+                power_w=powers[idx],
             )
             for idx in range(len(trace))
         ]

@@ -9,11 +9,13 @@ three plus the per-epoch detail needed to plot time series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..noc.topology import Coordinate
+
+def _no_units() -> np.ndarray:
+    return np.zeros(0)
 
 
 @dataclass
@@ -23,7 +25,10 @@ class ThermalMetrics:
     peak_celsius: float
     mean_celsius: float
     min_celsius: float
-    per_unit_celsius: Dict[Coordinate, float] = field(default_factory=dict)
+    #: Row-major per-unit temperatures (entry ``topology.node_id(coord)`` is
+    #: ``coord``'s); empty when only the summary is known.  Left out of
+    #: ``==``, which an array field would make ambiguous.
+    per_unit_celsius: np.ndarray = field(default_factory=_no_units, compare=False)
 
     @property
     def spread_celsius(self) -> float:
@@ -33,34 +38,18 @@ class ThermalMetrics:
     @property
     def spatial_std_celsius(self) -> float:
         """Standard deviation of unit temperatures (thermal uniformity)."""
-        if not self.per_unit_celsius:
+        if not self.per_unit_celsius.size:
             return 0.0
-        return float(np.std(list(self.per_unit_celsius.values())))
-
-    def hottest_unit(self) -> Optional[Coordinate]:
-        if not self.per_unit_celsius:
-            return None
-        return max(self.per_unit_celsius, key=self.per_unit_celsius.get)
-
-    @classmethod
-    def from_map(cls, per_unit_celsius: Dict[Coordinate, float]) -> "ThermalMetrics":
-        values = list(per_unit_celsius.values())
-        return cls(
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
-            min_celsius=min(values),
-            per_unit_celsius=dict(per_unit_celsius),
-        )
+        return float(np.std(self.per_unit_celsius))
 
     @classmethod
     def from_vector(cls, topology, per_unit_celsius: np.ndarray) -> "ThermalMetrics":
         """Metrics from one row of a batched temperature array.
 
-        The vector follows the topology's row-major coordinate index; the
-        per-unit dict view is kept so reports and policies see the same shape
-        as :meth:`from_map` produces.
+        The vector follows the topology's row-major coordinate index and is
+        copied, so the record does not alias the batched array.
         """
-        values = np.asarray(per_unit_celsius, dtype=float)
+        values = np.array(per_unit_celsius, dtype=float)
         if values.shape != (topology.num_nodes,):
             raise ValueError(
                 f"expected {topology.num_nodes} unit temperatures, got shape {values.shape}"
@@ -69,10 +58,7 @@ class ThermalMetrics:
             peak_celsius=float(values.max()),
             mean_celsius=float(values.mean()),
             min_celsius=float(values.min()),
-            per_unit_celsius={
-                coord: float(values[idx])
-                for idx, coord in enumerate(topology.coordinates())
-            },
+            per_unit_celsius=values,
         )
 
 
@@ -112,12 +98,12 @@ class EpochRecord:
     """One migration period of an experiment."""
 
     epoch_index: int
-    mapping_permutation: List[int]
     transform_applied: Optional[str]
     migration_cycles: int
     migration_energy_j: float
     thermal: ThermalMetrics
-    power_map: Dict[Coordinate, float] = field(default_factory=dict)
+    #: Row-major per-PE power of the epoch (its row of the power trace).
+    power_w: np.ndarray = field(default_factory=_no_units, compare=False)
 
     @property
     def migrated(self) -> bool:

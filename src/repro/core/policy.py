@@ -19,29 +19,23 @@ from ..migration.transforms import (
     MigrationTransform,
     make_transform,
 )
-from ..noc.topology import Coordinate, MeshTopology
-from ..power.trace import vector_to_map
+from ..noc.topology import MeshTopology
 from .metrics import ThermalMetrics
 
 
 class PolicyContext:
     """Information a policy may use when deciding whether to migrate.
 
-    The context is vector-native: the experiment driver hands policies the
-    previous epoch's power as a row-major ``current_power_vector`` and never
-    builds a dict per epoch.  :attr:`current_power_map` remains available as
-    a **lazily built** dict view — the conversion runs only if a policy
-    actually reads it, so policies that work on the vector (or ignore power
-    entirely) keep ``vector_to_map`` out of the epoch loop.  Constructing a
-    context with an explicit ``current_power_map`` dict still works for
-    hand-written tests and external callers.
+    ``current_power_vector`` is the previous epoch's row-major per-PE power
+    (the experiment driver's trace row); ``current_thermal`` carries the
+    matching temperatures for policies that declare
+    ``requires_thermal_feedback``.
     """
 
     def __init__(
         self,
         epoch_index: int,
         current_thermal: Optional[ThermalMetrics],
-        current_power_map: Optional[Dict[Coordinate, float]] = None,
         topology: Optional[MeshTopology] = None,
         current_power_vector: Optional[np.ndarray] = None,
         migration_in_progress: bool = False,
@@ -57,28 +51,14 @@ class PolicyContext:
         #: may skip their decision work (any transform returned is dropped
         #: and counted as a stalled epoch).
         self.migration_in_progress = migration_in_progress
-        self._power_map: Optional[Dict[Coordinate, float]] = (
-            dict(current_power_map) if current_power_map is not None else None
-        )
-
-    @property
-    def current_power_map(self) -> Dict[Coordinate, float]:
-        """Dict view of the previous epoch's power (built on first access)."""
-        if self._power_map is None:
-            if self.current_power_vector is None:
-                self._power_map = {}
-            else:
-                self._power_map = vector_to_map(
-                    self.topology, self.current_power_vector
-                )
-        return self._power_map
 
     @property
     def has_power(self) -> bool:
-        """Whether any power information is attached (vector or dict)."""
-        if self.current_power_vector is not None:
-            return self.current_power_vector.size > 0
-        return bool(self._power_map)
+        """Whether a non-empty power vector is attached."""
+        return (
+            self.current_power_vector is not None
+            and self.current_power_vector.size > 0
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -252,8 +232,11 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
             choice = self.candidates[0]
             self._record_choice(choice.name)
             return choice
-        hottest = thermal.hottest_unit()
-        if hottest is None:
+        unit_temps = thermal.per_unit_celsius
+        if unit_temps.size:
+            # argmax takes the first maximum: row-major order breaks ties.
+            hottest = self.topology.coordinate(int(np.argmax(unit_temps)))
+        else:
             hottest = self.topology.center
 
         best = None

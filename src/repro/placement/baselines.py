@@ -79,10 +79,10 @@ def greedy_thermal_placement(
             key=lambda c: -_distance_to_assigned(c, assignment),
         )
         for coord in scored[: max(candidates_per_step, 1)]:
-            trial_power = {c: idle_power for c in topology.coordinates()}
+            trial_power = np.full(topology.num_nodes, idle_power)
             for placed_task, placed_coord in assignment.items():
-                trial_power[placed_coord] = per_task_power[placed_task]
-            trial_power[coord] = per_task_power[task]
+                trial_power[topology.node_id(placed_coord)] = per_task_power[placed_task]
+            trial_power[topology.node_id(coord)] = per_task_power[task]
             peak = cost_model.thermal_model.peak_temperature(trial_power)
             if best_peak is None or peak < best_peak:
                 best_peak = peak

@@ -61,14 +61,15 @@ class PlacementCostModel:
             self.power_model = UnitPowerModel()
 
     # ------------------------------------------------------------------
-    def power_map(self, mapping: Mapping) -> Dict[Coordinate, float]:
-        """Per-PE power (W) when tasks sit according to ``mapping``."""
-        base = {
-            mapping.physical_of(task): watts
-            for task, watts in self.per_task_power.items()
-        }
+    def power_vector(self, mapping: Mapping) -> np.ndarray:
+        """Row-major per-PE power (W) when tasks sit according to ``mapping``."""
+        topology = self.topology
+        power = np.zeros(topology.num_nodes)
+        power[mapping.to_permutation()] = [
+            self.per_task_power[task] for task in range(topology.num_nodes)
+        ]
         if self.workload is None:
-            return base
+            return power
         # Charge communication power along the XY routes of the traffic.
         flows: Dict[Tuple[Coordinate, Coordinate], float] = {}
         workload = self.workload
@@ -89,8 +90,8 @@ class PlacementCostModel:
         )
         for coord, flits in router_flits.items():
             energy = self.power_model.router_model.energy_from_flits(flits * iterations)
-            base[coord] = base.get(coord, 0.0) + energy / self.interval_s
-        return base
+            power[topology.node_id(coord)] += energy / self.interval_s
+        return power
 
     def _cycles_per_iteration_estimate(self) -> float:
         """Crude serialisation estimate used only for scaling comm power."""
@@ -102,7 +103,7 @@ class PlacementCostModel:
     # ------------------------------------------------------------------
     def peak_temperature(self, mapping: Mapping) -> float:
         """Predicted steady-state peak temperature (Celsius) of a mapping."""
-        return self.thermal_model.peak_temperature(self.power_map(mapping))
+        return self.thermal_model.peak_temperature(self.power_vector(mapping))
 
     def communication_cost(self, mapping: Mapping) -> float:
         """Total flit-hops per iteration (lower = less network energy/latency)."""

@@ -82,12 +82,6 @@ class Mapping:
             if self.physical_of(task) != other.physical_of(task)
         ]
 
-    def as_power_map(self, per_task_power: Dict[int, float]) -> Dict[Coordinate, float]:
-        """Re-key per-task power by the physical coordinate hosting each task."""
-        return {
-            self.physical_of(task): power for task, power in per_task_power.items()
-        }
-
     # ------------------------------------------------------------------
     @classmethod
     def identity(cls, topology: MeshTopology) -> "Mapping":

@@ -3,28 +3,25 @@
 The experiment driver produces one per-unit power sample per migration epoch
 and the thermal solvers consume the whole piecewise-constant trace at once
 (multi-RHS steady solves, sequenced transients).  :class:`PowerTrace` is the
-array-native contract between those layers: internally it stores a
-``(num_samples, num_units)`` float array plus a parallel duration vector,
-indexed by the topology's row-major coordinate order, while dict views
-(:meth:`PowerTrace.power_map`, :class:`PowerSample`) remain available at the
-edges for policies, reports and hand-written tests.
+array-native contract between those layers: it stores a
+``(num_samples, num_units)`` float array plus a parallel duration vector.
+
+This module owns the one in-process format of per-unit power (and of the
+per-unit temperatures solved from it): a row-major vector over
+``topology.coordinates()``, so entry ``topology.node_id(coord)`` carries
+``coord``'s value.  :func:`map_to_vector` is the single inbound converter for
+hand-authored per-coordinate dicts (chip profiles, placement inputs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
 
 
-# ----------------------------------------------------------------------
-# Coordinate-indexed vector <-> dict conversion (the "edges" of the
-# array-native pipeline: everything inside works on vectors, everything
-# user-facing can still ask for dicts).
-# ----------------------------------------------------------------------
 def map_to_vector(topology: MeshTopology, values: Dict[Coordinate, float]) -> np.ndarray:
     """Row-major vector over the mesh from a per-coordinate dict.
 
@@ -34,50 +31,6 @@ def map_to_vector(topology: MeshTopology, values: Dict[Coordinate, float]) -> np
     for coord, value in values.items():
         vector[topology.node_id(coord)] = value
     return vector
-
-
-def vector_to_map(topology: MeshTopology, vector: np.ndarray) -> Dict[Coordinate, float]:
-    """Per-coordinate dict view of a row-major vector over the mesh."""
-    vector = np.asarray(vector)
-    if vector.shape != (topology.num_nodes,):
-        raise ValueError(
-            f"expected a vector of {topology.num_nodes} values, got shape {vector.shape}"
-        )
-    return {coord: float(vector[idx]) for idx, coord in enumerate(topology.coordinates())}
-
-
-@dataclass
-class PowerSample:
-    """Average per-unit power over one interval (dict view of one trace row)."""
-
-    duration_s: float
-    power_w: Dict[Coordinate, float]
-
-    def __post_init__(self) -> None:
-        # NaN fails every ordering comparison, so `<= 0` / `< 0` gates alone
-        # would wave non-finite values straight into the solver; check
-        # finiteness explicitly.
-        if not np.isfinite(self.duration_s) or self.duration_s <= 0:
-            raise ValueError("sample duration must be positive and finite")
-        for coord, power in self.power_w.items():
-            if not np.isfinite(power) or power < 0:
-                raise ValueError(f"non-finite or negative power {power} at {coord}")
-
-    @property
-    def total_power_w(self) -> float:
-        return sum(self.power_w.values())
-
-    @property
-    def peak_power_w(self) -> float:
-        return max(self.power_w.values()) if self.power_w else 0.0
-
-    @property
-    def energy_j(self) -> float:
-        return self.total_power_w * self.duration_s
-
-    def as_vector(self, topology: MeshTopology) -> np.ndarray:
-        """Row-major power vector over the mesh (zeros for missing units)."""
-        return map_to_vector(topology, self.power_w)
 
 
 class PowerTrace:
@@ -91,7 +44,7 @@ class PowerTrace:
     means) is a vectorised array reduction.
     """
 
-    def __init__(self, topology: MeshTopology, samples: Optional[List[PowerSample]] = None):
+    def __init__(self, topology: MeshTopology):
         self.topology = topology
         self._num_units = topology.num_nodes
         self._capacity = 8
@@ -99,8 +52,6 @@ class PowerTrace:
         self._powers = np.zeros((self._capacity, self._num_units))
         self._length = 0
         self._grows = 0
-        for sample in samples or ():
-            self.append(sample)
 
     # ------------------------------------------------------------------
     # Construction
@@ -161,29 +112,21 @@ class PowerTrace:
         """
         return self._grows
 
-    def append(self, sample: PowerSample) -> None:
-        """Append one dict-view sample (validated by :class:`PowerSample`)."""
-        self.add_interval(sample.duration_s, sample.power_w)
-
-    def add_interval(self, duration_s: float, power_w) -> None:
-        """Append one interval; ``power_w`` may be a dict or a row vector."""
-        if isinstance(power_w, dict):
-            # PowerSample performs the duration/negativity validation.
-            sample = PowerSample(duration_s=duration_s, power_w=dict(power_w))
-            vector = sample.as_vector(self.topology)
-        else:
-            vector = np.asarray(power_w, dtype=float)
-            if vector.shape != (self._num_units,):
-                raise ValueError(
-                    f"expected a power vector of {self._num_units} units, "
-                    f"got shape {vector.shape}"
-                )
-            if not np.isfinite(duration_s) or duration_s <= 0:
-                raise ValueError("sample duration must be positive and finite")
-            if vector.size and (
-                not np.all(np.isfinite(vector)) or vector.min() < 0
-            ):
-                raise ValueError("non-finite or negative power in sample")
+    def add_interval(self, duration_s: float, power_w: np.ndarray) -> None:
+        """Append one interval of row-major per-unit power."""
+        vector = np.asarray(power_w, dtype=float)
+        if vector.shape != (self._num_units,):
+            raise ValueError(
+                f"expected a power vector of {self._num_units} units, "
+                f"got shape {vector.shape}"
+            )
+        # NaN fails every ordering comparison, so `<= 0` / `< 0` gates alone
+        # would wave non-finite values straight into the solver; check
+        # finiteness explicitly.
+        if not np.isfinite(duration_s) or duration_s <= 0:
+            raise ValueError("sample duration must be positive and finite")
+        if vector.size and (not np.all(np.isfinite(vector)) or vector.min() < 0):
+            raise ValueError("non-finite or negative power in sample")
         if self._length == self._capacity:
             self._grow_to(self._length + 1)
         self._durations[self._length] = duration_s
@@ -297,41 +240,8 @@ class PowerTrace:
             self.topology, self.durations, self.powers * factors
         )
 
-    # ------------------------------------------------------------------
-    # Dict views (the edges)
-    # ------------------------------------------------------------------
-    def power_map(self, index: int) -> Dict[Coordinate, float]:
-        """Dict view of one sample's per-unit power."""
-        return vector_to_map(self.topology, self.powers[index])
-
-    def sample(self, index: int) -> PowerSample:
-        """Dict-view :class:`PowerSample` of one trace row."""
-        return PowerSample(
-            duration_s=float(self.durations[index]), power_w=self.power_map(index)
-        )
-
-    @property
-    def samples(self) -> Tuple[PowerSample, ...]:
-        """All samples as dict views.
-
-        A tuple of freshly-built views: mutating it (the old dataclass's
-        ``samples.append``) fails loudly instead of silently not updating
-        the trace — append through :meth:`append`/:meth:`add_interval`.
-        """
-        return tuple(self.sample(index) for index in range(self._length))
-
-    def intervals(self) -> List[Tuple[float, Dict[Coordinate, float]]]:
-        """(duration, per-unit power dict) pairs for the transient solvers."""
-        return [
-            (float(self.durations[index]), self.power_map(index))
-            for index in range(self._length)
-        ]
-
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[PowerSample]:
-        return iter(self.samples)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -350,10 +260,6 @@ class PowerTrace:
         if duration == 0:
             return 0.0
         return self.total_energy_j / duration
-
-    def average_power_per_unit(self) -> Dict[Coordinate, float]:
-        """Time-weighted average power of every unit over the whole trace."""
-        return vector_to_map(self.topology, self.average_vector())
 
     def peak_unit_power(self) -> float:
         """Largest instantaneous per-unit power anywhere in the trace."""

@@ -7,7 +7,7 @@ built on numpy/scipy.
 """
 
 from .floorplan import Block, Floorplan, block_name_for, mesh_floorplan
-from .grid import GridTemperatureMap, GridThermalModel, refine_floorplan
+from .grid import GridThermalModel, refine_floorplan
 from .hotspot import HotSpotModel
 from .model import ThermalModel
 from .package import DEFAULT_PACKAGE, KELVIN_OFFSET, ThermalPackage
@@ -20,7 +20,6 @@ __all__ = [
     "Floorplan",
     "block_name_for",
     "mesh_floorplan",
-    "GridTemperatureMap",
     "GridThermalModel",
     "refine_floorplan",
     "HotSpotModel",

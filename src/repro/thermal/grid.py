@@ -15,17 +15,17 @@ block temperatures are reported as the maximum (or mean) over the cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Tuple
+from typing import Dict, Literal, Optional
 
 import numpy as np
 
-from ..noc.topology import Coordinate, MeshTopology
+from ..noc.topology import MeshTopology
+from ..power.trace import PowerTrace
 from .floorplan import Block, Floorplan, block_name_for, mesh_floorplan
-from .model import as_solver_intervals, as_solver_power, die_time_constant_s
+from .model import as_solver_intervals, die_time_constant_s
 from .package import KELVIN_OFFSET, DEFAULT_PACKAGE, ThermalPackage
 from .rc_model import build_thermal_network
-from .solver import TemperatureMap, ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientResult
 
 
 def refine_floorplan(floorplan: Floorplan, resolution: int) -> Floorplan:
@@ -62,26 +62,6 @@ def refine_floorplan(floorplan: Floorplan, resolution: int) -> Floorplan:
 def parent_block_name(cell_name: str) -> str:
     """Parent block of a refined cell (identity for unrefined names)."""
     return cell_name.split("::", 1)[0]
-
-
-@dataclass
-class GridTemperatureMap:
-    """Per-block temperature summaries computed from per-cell temperatures."""
-
-    cell_celsius: Dict[str, float]
-    block_peak_celsius: Dict[str, float]
-    block_mean_celsius: Dict[str, float]
-
-    @property
-    def peak_celsius(self) -> float:
-        return max(self.block_peak_celsius.values())
-
-    @property
-    def mean_celsius(self) -> float:
-        return float(np.mean(list(self.block_mean_celsius.values())))
-
-    def hottest_block(self) -> str:
-        return max(self.block_peak_celsius, key=self.block_peak_celsius.get)
 
 
 class GridThermalModel:
@@ -123,53 +103,9 @@ class GridThermalModel:
         )
 
     # ------------------------------------------------------------------
-    def _cell_power(self, power_by_coord: Dict[Coordinate, float]) -> Dict[str, float]:
-        """Distribute each unit's power uniformly over its cells."""
-        cells_per_block = self.resolution**2
-        cell_power: Dict[str, float] = {}
-        for coord, watts in power_by_coord.items():
-            if not self.topology.contains(coord):
-                raise ValueError(f"coordinate {coord} outside mesh")
-            if watts < 0:
-                raise ValueError(f"negative power at {coord}")
-            block = block_name_for(coord)
-            for cell_name in self._cells_of_block[block]:
-                cell_power[cell_name] = watts / cells_per_block
-        return cell_power
-
-    def steady_state(self, power_by_coord: Dict[Coordinate, float]) -> GridTemperatureMap:
-        """Grid-resolution steady-state temperatures for a per-unit power map."""
-        temps: TemperatureMap = self.solver.steady_state(self._cell_power(power_by_coord))
-        block_peak: Dict[str, float] = {}
-        block_mean: Dict[str, float] = {}
-        for block, cells in self._cells_of_block.items():
-            values = [temps.block_celsius[c] for c in cells]
-            block_peak[block] = max(values)
-            block_mean[block] = float(np.mean(values))
-        return GridTemperatureMap(
-            cell_celsius=dict(temps.block_celsius),
-            block_peak_celsius=block_peak,
-            block_mean_celsius=block_mean,
-        )
-
-    def peak_temperature(self, power_by_coord: Dict[Coordinate, float]) -> float:
-        """Grid-resolution peak temperature in Celsius."""
-        return self.steady_state(power_by_coord).peak_celsius
-
-    def steady_state_by_coord(
-        self, power_by_coord: Dict[Coordinate, float], statistic: Literal["peak", "mean"] = "peak"
-    ) -> Dict[Coordinate, float]:
-        """Per-unit temperatures (block peak or mean over its cells)."""
-        result = self.steady_state(power_by_coord)
-        source = result.block_peak_celsius if statistic == "peak" else result.block_mean_celsius
-        return {
-            coord: source[block_name_for(coord)] for coord in self.topology.coordinates()
-        }
-
-    # ------------------------------------------------------------------
-    # Array-native batch paths (the same fast interface HotSpotModel has:
-    # cached factorisation, multi-RHS steady solves, sequenced transients
-    # with the propagator cache and the spectral sampler of ThermalSolver).
+    # The same array-native interface HotSpotModel has: cached
+    # factorisation, multi-RHS steady solves, sequenced transients with the
+    # propagator cache and the spectral sampler of ThermalSolver.
     # ------------------------------------------------------------------
     def node_power_matrix(self, power_rows: np.ndarray) -> np.ndarray:
         """Scatter per-unit power rows uniformly over each unit's cells."""
@@ -208,6 +144,10 @@ class GridThermalModel:
         kelvin = self.solver.steady_state_batch(self.node_power_matrix(power_rows))
         return self._reduce_cells(kelvin - KELVIN_OFFSET, statistic)
 
+    def peak_temperature(self, power: np.ndarray) -> float:
+        """Grid-resolution peak temperature (Celsius) for one power vector."""
+        return float(self.steady_temperatures(power).max())
+
     def unit_series(
         self, result: TransientResult, statistic: Literal["peak", "mean"] = "peak"
     ) -> np.ndarray:
@@ -223,30 +163,9 @@ class GridThermalModel:
         return cell_series.mean(axis=1)
 
     # ------------------------------------------------------------------
-    def transient(
-        self,
-        power_by_coord,
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        method: str = "euler",
-    ) -> TransientResult:
-        """Grid-resolution transient under constant power for ``duration_s``."""
-        if isinstance(power_by_coord, dict):
-            power = self._cell_power(power_by_coord)
-        else:
-            power = self.node_power_matrix(power_by_coord)[0]
-        return self.solver.transient(
-            power,
-            duration_s,
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            method=method,
-        )
-
     def transient_sequence(
         self,
-        intervals,
+        intervals: PowerTrace,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
         method: str = "euler",
@@ -254,24 +173,24 @@ class GridThermalModel:
     ) -> TransientResult:
         """Grid-resolution transient over a piecewise-constant power trace.
 
-        Accepts a :class:`repro.power.trace.PowerTrace` or a list of
-        (duration, per-unit dict) pairs, exactly like
-        :meth:`repro.thermal.hotspot.HotSpotModel.transient_sequence`; the
-        per-interval ``ambient_offsets_kelvin`` boundary term is scattered
+        Exactly like :meth:`repro.thermal.hotspot.HotSpotModel.transient_sequence`;
+        the per-interval ``ambient_offsets_kelvin`` boundary term is scattered
         onto the refined network's ambient-coupled nodes by the solver.
         """
         return self.solver.transient_sequence(
-            as_solver_intervals(self, intervals, self._cell_power),
+            as_solver_intervals(self, intervals),
             initial_state=initial_state,
             time_step_s=time_step_s,
             method=method,
             ambient_offsets_kelvin=ambient_offsets_kelvin,
         )
 
-    def warm_state(self, power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+    def warm_state(
+        self, power: np.ndarray, ambient_offset_kelvin: float = 0.0
+    ) -> np.ndarray:
         """Steady-state node vector used to start transients already warm."""
         return self.solver.warm_state(
-            as_solver_power(self, power, self._cell_power),
+            self.node_power_matrix(power)[0],
             ambient_offset_kelvin=ambient_offset_kelvin,
         )
 

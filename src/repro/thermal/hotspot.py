@@ -1,24 +1,24 @@
 """HotSpot-style facade over the RC thermal model.
 
 The rest of the system talks to :class:`HotSpotModel`: give it a floorplan
-(or a mesh topology) and per-unit power in watts keyed by mesh coordinate,
-and it returns block temperatures in Celsius.  Defaults reproduce the paper's
+(or a mesh topology) and row-major per-unit power vectors in watts, and it
+returns per-unit temperatures in Celsius.  Defaults reproduce the paper's
 setup: HotSpot-like default package, 40 °C ambient, 4.36 mm² functional units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..noc.topology import Coordinate, MeshTopology
+from ..noc.topology import MeshTopology
+from ..power.trace import PowerTrace
 from .floorplan import Floorplan, block_name_for, mesh_floorplan
-from .model import as_solver_intervals, as_solver_power, die_time_constant_s
+from .model import as_solver_intervals, die_time_constant_s
 from .package import KELVIN_OFFSET, DEFAULT_PACKAGE, ThermalPackage
 from .rc_model import ThermalNetwork, build_thermal_network
-from .solver import TemperatureMap, ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientResult
 
 
 class HotSpotModel:
@@ -59,38 +59,6 @@ class HotSpotModel:
         )
 
     # ------------------------------------------------------------------
-    def _to_block_power(self, power_by_coord: Dict[Coordinate, float]) -> Dict[str, float]:
-        block_power: Dict[str, float] = {}
-        for coord, watts in power_by_coord.items():
-            if not self.topology.contains(coord):
-                raise ValueError(f"coordinate {coord} outside mesh")
-            block_power[block_name_for(coord)] = watts
-        return block_power
-
-    def _map_by_coord(self, temperature_map: TemperatureMap) -> Dict[Coordinate, float]:
-        result: Dict[Coordinate, float] = {}
-        for coord in self.topology.coordinates():
-            result[coord] = temperature_map.block_celsius[block_name_for(coord)]
-        return result
-
-    # ------------------------------------------------------------------
-    def steady_state(self, power_by_coord: Dict[Coordinate, float]) -> TemperatureMap:
-        """Steady-state block temperatures for a per-unit power map."""
-        return self.solver.steady_state(self._to_block_power(power_by_coord))
-
-    def steady_state_by_coord(
-        self, power_by_coord: Dict[Coordinate, float]
-    ) -> Dict[Coordinate, float]:
-        """Steady-state temperatures keyed by mesh coordinate."""
-        return self._map_by_coord(self.steady_state(power_by_coord))
-
-    def peak_temperature(self, power_by_coord: Dict[Coordinate, float]) -> float:
-        """Peak steady-state temperature (Celsius) for a power map."""
-        return self.steady_state(power_by_coord).peak_celsius
-
-    # ------------------------------------------------------------------
-    # Array-native batch paths
-    # ------------------------------------------------------------------
     def node_power_matrix(self, power_rows: np.ndarray) -> np.ndarray:
         """Scatter ``(num_rows, num_units)`` power rows into node space."""
         rows = np.atleast_2d(np.asarray(power_rows, dtype=float))
@@ -112,6 +80,10 @@ class HotSpotModel:
         kelvin = self.solver.steady_state_batch(self.node_power_matrix(power_rows))
         return kelvin[:, self.unit_nodes] - KELVIN_OFFSET
 
+    def peak_temperature(self, power: np.ndarray) -> float:
+        """Peak steady-state temperature (Celsius) for one power vector."""
+        return float(self.steady_temperatures(power).max())
+
     def unit_series(self, result: TransientResult) -> np.ndarray:
         """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
         return np.vstack(
@@ -122,26 +94,9 @@ class HotSpotModel:
         )
 
     # ------------------------------------------------------------------
-    def transient(
-        self,
-        power_by_coord: Dict[Coordinate, float],
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        method: str = "euler",
-    ) -> TransientResult:
-        """Transient evolution under constant power for ``duration_s``."""
-        return self.solver.transient(
-            self._to_block_power(power_by_coord),
-            duration_s,
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            method=method,
-        )
-
     def transient_sequence(
         self,
-        intervals,
+        intervals: PowerTrace,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
         method: str = "euler",
@@ -149,28 +104,29 @@ class HotSpotModel:
     ) -> TransientResult:
         """Transient evolution under a piecewise-constant power trace.
 
-        ``intervals`` is a :class:`repro.power.trace.PowerTrace` (the
-        array-native path: one scatter builds every node power vector) or a
-        list of (duration, per-unit dict) pairs.  ``ambient_offsets_kelvin``
-        shifts the ambient boundary per interval (exact time-varying
-        ambient; see :meth:`repro.thermal.solver.ThermalSolver.transient_sequence`).
+        One scatter builds every node power vector of the trace.
+        ``ambient_offsets_kelvin`` shifts the ambient boundary per interval
+        (exact time-varying ambient; see
+        :meth:`repro.thermal.solver.ThermalSolver.transient_sequence`).
         """
         return self.solver.transient_sequence(
-            as_solver_intervals(self, intervals, self._to_block_power),
+            as_solver_intervals(self, intervals),
             initial_state=initial_state,
             time_step_s=time_step_s,
             method=method,
             ambient_offsets_kelvin=ambient_offsets_kelvin,
         )
 
-    def warm_state(self, power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+    def warm_state(
+        self, power: np.ndarray, ambient_offset_kelvin: float = 0.0
+    ) -> np.ndarray:
         """Steady-state node vector used to start transients already warm.
 
-        Accepts a per-coordinate dict or a row-major per-unit power vector;
+        ``power`` is a row-major per-unit power vector;
         ``ambient_offset_kelvin`` shifts the ambient boundary of the solve.
         """
         return self.solver.warm_state(
-            as_solver_power(self, power, self._to_block_power),
+            self.node_power_matrix(power)[0],
             ambient_offset_kelvin=ambient_offset_kelvin,
         )
 

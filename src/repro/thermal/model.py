@@ -3,27 +3,28 @@
 :class:`repro.thermal.hotspot.HotSpotModel` (block resolution) and
 :class:`repro.thermal.grid.GridThermalModel` (refined grid resolution) both
 implement this interface, so the experiment driver, the DTM baselines and the
-CLI can swap resolutions without code changes.  The contract has three tiers:
+CLI can swap resolutions without code changes.  Per-unit power and
+temperature are row-major vectors over ``topology.coordinates()`` (the format
+:mod:`repro.power.trace` owns).  The contract has two tiers:
 
-* **dict edges** — ``steady_state_by_coord`` / ``peak_temperature`` keep the
-  per-coordinate dict views that policies and reports consume;
 * **steady batch** — ``steady_temperatures`` evaluates a whole
   ``(num_rows, num_units)`` power matrix (one trace row per epoch, plus the
   baseline and settled-average rows) with a single multi-RHS solve against
-  the model's cached factorisation;
+  the model's cached factorisation; ``peak_temperature`` is its one-row
+  shortcut;
 * **sequenced transient** — ``transient_sequence`` integrates a
-  piecewise-constant :class:`repro.power.trace.PowerTrace` (or explicit
-  interval list) in one call with thermal state carried across epochs, and
-  ``unit_series`` reduces the result back to a per-unit sample matrix.
+  piecewise-constant :class:`repro.power.trace.PowerTrace` in one call with
+  thermal state carried across epochs, and ``unit_series`` reduces the
+  result back to a per-unit sample matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Protocol, Tuple, runtime_checkable
+from typing import List, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from ..noc.topology import Coordinate, MeshTopology
+from ..noc.topology import MeshTopology
 from ..power.trace import PowerTrace
 from .solver import TransientResult
 
@@ -33,17 +34,6 @@ class ThermalModel(Protocol):
     """What the experiment pipeline requires of a thermal model."""
 
     topology: MeshTopology
-
-    # -- dict edges ----------------------------------------------------
-    def steady_state_by_coord(
-        self, power_by_coord: Dict[Coordinate, float]
-    ) -> Dict[Coordinate, float]:
-        """Steady-state per-unit temperatures (Celsius) for one power map."""
-        ...
-
-    def peak_temperature(self, power_by_coord: Dict[Coordinate, float]) -> float:
-        """Peak steady-state temperature (Celsius) for one power map."""
-        ...
 
     # -- steady batch --------------------------------------------------
     def steady_temperatures(self, power_rows: np.ndarray) -> np.ndarray:
@@ -55,10 +45,14 @@ class ThermalModel(Protocol):
         """
         ...
 
+    def peak_temperature(self, power: np.ndarray) -> float:
+        """Peak steady-state temperature (Celsius) for one power vector."""
+        ...
+
     # -- sequenced transient -------------------------------------------
     def transient_sequence(
         self,
-        intervals,
+        intervals: PowerTrace,
         initial_state=None,
         time_step_s=None,
         method: str = "euler",
@@ -82,7 +76,9 @@ class ThermalModel(Protocol):
         """``(num_units, num_samples)`` per-unit series of a transient result."""
         ...
 
-    def warm_state(self, power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+    def warm_state(
+        self, power: np.ndarray, ambient_offset_kelvin: float = 0.0
+    ) -> np.ndarray:
         """Steady-state node vector used to start transients already warm.
 
         ``ambient_offset_kelvin`` shifts the ambient boundary so
@@ -98,38 +94,15 @@ class ThermalModel(Protocol):
 
 # ----------------------------------------------------------------------
 # Shared implementation helpers (both concrete models scatter unit power
-# into RC-node space through a ``node_power_matrix`` method; these keep the
-# trace/dict dispatch in one place).
+# into RC-node space through a ``node_power_matrix`` method).
 # ----------------------------------------------------------------------
-def as_solver_intervals(
-    model,
-    intervals,
-    block_power_of: Callable[[Dict[Coordinate, float]], Dict[str, float]],
-) -> List[Tuple[float, object]]:
-    """(duration, solver power) pairs from a PowerTrace or dict intervals.
-
-    A :class:`PowerTrace` takes the array path: one scatter through
-    ``model.node_power_matrix`` builds every node power vector.  Dict
-    intervals go through the model's per-map converter.
-    """
-    if isinstance(intervals, PowerTrace):
-        node_rows = model.node_power_matrix(intervals.powers)
-        return [
-            (float(duration), node_rows[index])
-            for index, duration in enumerate(intervals.durations)
-        ]
-    return [(duration, block_power_of(power)) for duration, power in intervals]
-
-
-def as_solver_power(
-    model,
-    power,
-    block_power_of: Callable[[Dict[Coordinate, float]], Dict[str, float]],
-):
-    """One solver power input from a per-coordinate dict or a unit vector."""
-    if isinstance(power, dict):
-        return block_power_of(power)
-    return model.node_power_matrix(power)[0]
+def as_solver_intervals(model, trace: PowerTrace) -> List[Tuple[float, np.ndarray]]:
+    """(duration, node power vector) pairs of a trace: one scatter for all rows."""
+    node_rows = model.node_power_matrix(trace.powers)
+    return [
+        (float(duration), node_rows[index])
+        for index, duration in enumerate(trace.durations)
+    ]
 
 
 def die_time_constant_s(network, num_die_nodes: int) -> float:

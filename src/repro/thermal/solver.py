@@ -117,6 +117,22 @@ class TransientResult:
         )
 
 
+def _check_power(power: np.ndarray) -> None:
+    """Reject negative or non-finite node power before it reaches LAPACK.
+
+    NaN fails every ordering comparison, so a ``min() < 0`` gate alone would
+    let it through to scipy's ``asarray_chkfinite`` deep inside the solve.
+    """
+    if not power.size:
+        return
+    # min/max propagate NaN, so two reductions cover NaN and +-inf.
+    low, high = power.min(), power.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("non-finite power: every node power must be finite")
+    if low < 0:
+        raise ValueError("negative power: every node power must be >= 0")
+
+
 @dataclass
 class _StepPropagator:
     """Implicit-Euler operator ``(C/dt + A)`` factorised for one time step."""
@@ -285,15 +301,15 @@ class ThermalSolver:
     def _power_vector_of(self, block_power_w) -> np.ndarray:
         """Node-space power vector from a per-block dict or a node vector."""
         if isinstance(block_power_w, dict):
-            return self.network.power_vector(block_power_w)
-        power = np.asarray(block_power_w, dtype=float)
-        if power.shape != (self.network.num_nodes,):
-            raise ValueError(
-                f"expected a node power vector of {self.network.num_nodes} entries, "
-                f"got shape {power.shape}"
-            )
-        if power.size and power.min() < 0:
-            raise ValueError("negative power in node vector")
+            power = self.network.power_vector(block_power_w)
+        else:
+            power = np.asarray(block_power_w, dtype=float)
+            if power.shape != (self.network.num_nodes,):
+                raise ValueError(
+                    f"expected a node power vector of {self.network.num_nodes} "
+                    f"entries, got shape {power.shape}"
+                )
+        _check_power(power)
         return power
 
     # ------------------------------------------------------------------
@@ -322,8 +338,7 @@ class ThermalSolver:
                 f"expected a (num_rows, {self.network.num_nodes}) power matrix, "
                 f"got shape {power.shape}"
             )
-        if power.size and power.min() < 0:
-            raise ValueError("negative power in batch")
+        _check_power(power)
         rhs = power + self._boundary[np.newaxis, :]
         self.steady_solve_count += 1
         _OBS_STEADY_SOLVES.add()

@@ -1,5 +1,6 @@
 """Tests for the ASCII map rendering helpers."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.thermal_map import difference_map, render_grid, render_heat_bar, to_csv
@@ -7,7 +8,8 @@ from repro.analysis.thermal_map import difference_map, render_grid, render_heat_
 
 @pytest.fixture
 def values4(mesh4):
-    return {coord: float(coord[0] + 10 * coord[1]) for coord in mesh4.coordinates()}
+    """Row-major per-PE values ``x + 10 y``."""
+    return np.array([float(x + 10 * y) for x, y in mesh4.coordinates()])
 
 
 class TestRenderGrid:
@@ -20,13 +22,12 @@ class TestRenderGrid:
         text = render_grid(mesh4, values4)
         lines = text.splitlines()
         # First printed row is y = 3 (values 30..33), last is y = 0.
-        assert "30.00" in lines[0]
-        assert "0.00" in lines[-1]
+        assert lines[0].split() == ["30.00", "31.00", "32.00", "33.00"]
+        assert lines[-1].split() == ["0.00", "1.00", "2.00", "3.00"]
 
     def test_missing_value_rejected(self, mesh4, values4):
-        values4.pop((1, 1))
-        with pytest.raises(ValueError):
-            render_grid(mesh4, values4)
+        with pytest.raises(ValueError, match="one per PE"):
+            render_grid(mesh4, values4[:-1])
 
 
 class TestHeatBar:
@@ -42,8 +43,7 @@ class TestHeatBar:
         assert "@" in art.splitlines()[0]  # hottest row printed first
 
     def test_flat_map_does_not_crash(self, mesh4):
-        flat = {coord: 1.0 for coord in mesh4.coordinates()}
-        art = render_heat_bar(mesh4, flat)
+        art = render_heat_bar(mesh4, np.ones(mesh4.num_nodes))
         assert len(art.splitlines()) == 4
 
 
@@ -53,14 +53,12 @@ class TestCsvAndDifference:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "x,y,temp"
         assert len(lines) == 1 + 16
+        assert lines[1 + mesh4.node_id((2, 1))] == "2,1,12.0"
 
     def test_difference_map(self, mesh4, values4):
-        doubled = {coord: 2 * value for coord, value in values4.items()}
-        diff = difference_map(doubled, values4)
-        assert diff == values4
+        diff = difference_map(2 * values4, values4)
+        assert np.array_equal(diff, values4)
 
     def test_difference_map_mismatched_keys(self, values4):
-        other = dict(values4)
-        other.pop((0, 0))
         with pytest.raises(ValueError):
-            difference_map(values4, other)
+            difference_map(values4, values4[1:])

@@ -60,15 +60,15 @@ class TestCalibration:
     def test_warm_band_exists(self, name):
         """Every configuration has one row with significantly higher power."""
         config = get_configuration(name)
-        rows = row_powers(config.topology, config.power_map())
+        rows = row_powers(config.topology, config.unit_power_w)
         others = np.delete(rows, np.argmax(rows))
         assert rows.max() > 1.2 * others.mean()
 
     def test_configuration_e_center_is_hot(self):
         config = get_configuration("E")
-        power = config.power_map()
-        center_power = power[(2, 2)]
-        mean_power = np.mean(list(power.values()))
+        power = config.power_vector()
+        center_power = power[config.topology.node_id((2, 2))]
+        mean_power = power.mean()
         assert center_power > 1.5 * mean_power
 
 
@@ -88,11 +88,11 @@ class TestWorkloadLinkage:
         from repro.migration.transforms import XYShiftTransform
 
         shifted = chip_a.static_mapping.apply_transform(XYShiftTransform(chip_a.topology))
-        migrated_power = chip_a.power_map(shifted)
-        static_power = chip_a.power_map()
+        migrated_power = chip_a.power_vector(shifted)
+        static_power = chip_a.power_vector()
         # Total power is conserved, the spatial arrangement is not.
-        assert sum(migrated_power.values()) == pytest.approx(sum(static_power.values()))
-        assert migrated_power != static_power
+        assert migrated_power.sum() == pytest.approx(static_power.sum())
+        assert not np.array_equal(migrated_power, static_power)
 
     def test_tanner_nodes_per_pe_total(self, chip_a):
         per_pe = chip_a.tanner_nodes_per_pe()

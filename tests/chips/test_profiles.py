@@ -10,6 +10,7 @@ from repro.chips.profiles import (
     profile_statistics,
     row_powers,
 )
+from repro.power.trace import map_to_vector
 from repro.thermal.hotspot import HotSpotModel
 
 
@@ -67,7 +68,8 @@ class TestCalibration:
         profile = hot_row_profile(mesh4, hot_row=2, hot_multiplier=2.5)
         calibrated, scale = calibrate_profile(profile, thermal4, target_peak_celsius=85.44)
         assert scale > 0
-        assert thermal4.peak_temperature(calibrated) == pytest.approx(85.44, abs=1e-6)
+        peak = thermal4.peak_temperature(map_to_vector(mesh4, calibrated))
+        assert peak == pytest.approx(85.44, abs=1e-6)
 
     def test_scale_preserves_shape(self, mesh4, thermal4):
         profile = hot_row_profile(mesh4, hot_row=2, hot_multiplier=2.5)

@@ -86,5 +86,5 @@ def chip_e():
 
 @pytest.fixture
 def uniform_power4(mesh4):
-    """A flat 2 W per-unit power map on the 4x4 mesh."""
-    return {coord: 2.0 for coord in mesh4.coordinates()}
+    """A flat 2 W per-unit power vector on the 4x4 mesh."""
+    return np.full(mesh4.num_nodes, 2.0)

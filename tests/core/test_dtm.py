@@ -51,9 +51,9 @@ class TestStopGoThrottling:
             StopGoThrottling(chip_a, idle_fraction_of_power=1.0)
         dtm = StopGoThrottling(chip_a)
         with pytest.raises(ValueError):
-            dtm.power_map(0.0)
+            dtm.power_vector(0.0)
         with pytest.raises(ValueError):
-            dtm.power_map(1.5)
+            dtm.power_vector(1.5)
 
 
 class TestDvfsThrottling:
@@ -90,7 +90,7 @@ class TestDvfsThrottling:
             DvfsThrottling(chip_a, min_voltage_ratio=0.0)
         dvfs = DvfsThrottling(chip_a)
         with pytest.raises(ValueError):
-            dvfs.power_map(0.0)
+            dvfs.power_vector(0.0)
         with pytest.raises(ValueError):
             dvfs.frequency_for_peak(70.0, resolution=2.0)
 

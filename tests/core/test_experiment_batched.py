@@ -5,8 +5,11 @@ per epoch into the thermal model (one solve per epoch in steady mode, one
 ``transient()`` call per epoch in transient mode).  The batched pipeline must
 reproduce those numbers to <1e-9 K on the paper's chip configurations; the
 reference implementations below replicate the seed loops verbatim on top of
-the public dict-view APIs.
+the solver's block-name API (``tests/block_oracle.py``).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ import pytest
 from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy, PolicyContext
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.model import ThermalModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import block_oracle  # noqa: E402
 
 #: Configurations the parity suite pins (both mesh sizes plus the
 #: centre-hotspot case where rotation's energy penalty matters).
@@ -38,15 +43,16 @@ def _reference_epochs(chip, policy, settings):
     controller = RuntimeReconfigurationController(
         chip, include_migration_energy=settings.include_migration_energy
     )
+    topology = chip.topology
     period_s = policy.period_us * 1e-6
     epochs = []
-    previous_power = controller.static_power_map()
+    previous_power = controller.static_power_vector()
     for epoch_index in range(settings.num_epochs):
         context = PolicyContext(
             epoch_index=epoch_index,
             current_thermal=None,
-            current_power_map=previous_power,
-            topology=chip.topology,
+            topology=topology,
+            current_power_vector=previous_power,
         )
         transform = policy.decide(context)
         cost = None
@@ -54,9 +60,8 @@ def _reference_epochs(chip, policy, settings):
         if transform is not None and transform.name != "identity":
             cost = controller.apply_migration(transform, epoch_index)
             name = transform.name
-        power = controller.epoch_power_map(period_s, cost)
-        epochs.append((power, cost, name))
-        previous_power = power
+        previous_power = controller.epoch_power_vector(period_s, cost)
+        epochs.append((block_oracle.as_map(topology, previous_power), cost, name))
         controller.advance_epoch()
     return epochs
 
@@ -64,20 +69,22 @@ def _reference_epochs(chip, policy, settings):
 def reference_steady(chip, policy, settings, thermal_model=None):
     """The seed steady mode: one solve per epoch plus baseline and average."""
     model = thermal_model or chip.thermal_model
-    baseline = ThermalMetrics.from_map(
-        model.steady_state_by_coord(chip.power_map())
-    )
+    topology = chip.topology
+
+    def solve(power):
+        return block_oracle.metrics(
+            topology, block_oracle.steady_by_coord(model, power)
+        )
+
+    baseline = solve(chip.unit_power_w)
     epochs = _reference_epochs(chip, policy, settings)
-    per_epoch = [
-        ThermalMetrics.from_map(model.steady_state_by_coord(power))
-        for power, _cost, _name in epochs
-    ]
+    per_epoch = [solve(power) for power, _cost, _name in epochs]
     settle_count = settings.settled_count(len(epochs))
-    averaged = {coord: 0.0 for coord in chip.topology.coordinates()}
+    averaged = {coord: 0.0 for coord in topology.coordinates()}
     for power, _cost, _name in epochs[-settle_count:]:
         for coord, watts in power.items():
             averaged[coord] += watts / settle_count
-    settled = ThermalMetrics.from_map(model.steady_state_by_coord(averaged))
+    settled = solve(averaged)
     return baseline, per_epoch, settled
 
 
@@ -92,12 +99,13 @@ def reference_transient(chip, policy, settings, thermal_model=None):
     for power, _cost, _name in epochs:
         for coord, watts in power.items():
             averaged[coord] += watts / len(epochs)
-    state = model.warm_state(averaged)
+    state = block_oracle.warm_state(model, averaged)
 
     peak_by_epoch = []
     per_epoch = []
     for power, _cost, _name in epochs:
-        result = model.transient(
+        result = block_oracle.transient(
+            model,
             power,
             period_s,
             initial_state=state,
@@ -106,12 +114,9 @@ def reference_transient(chip, policy, settings, thermal_model=None):
         )
         state = result.final_state_kelvin
         series = model.unit_series(result)
-        final = {
-            coord: float(series[idx, -1])
-            for idx, coord in enumerate(chip.topology.coordinates())
-        }
         peak_by_epoch.append(float(series.max()))
-        per_epoch.append(ThermalMetrics.from_map(final))
+        final = block_oracle.as_map(chip.topology, series[:, -1])
+        per_epoch.append(block_oracle.metrics(chip.topology, final))
 
     settle_count = settings.settled_count(len(epochs))
     settled_peak = float(np.max(peak_by_epoch[-settle_count:]))
@@ -156,10 +161,12 @@ class TestSteadyParity:
             assert record.thermal.mean_celsius == pytest.approx(
                 expected.mean_celsius, abs=1e-9
             )
-            for coord, value in expected.per_unit_celsius.items():
-                assert record.thermal.per_unit_celsius[coord] == pytest.approx(
-                    value, abs=1e-9
-                )
+            np.testing.assert_allclose(
+                record.thermal.per_unit_celsius,
+                expected.per_unit_celsius,
+                rtol=0,
+                atol=1e-9,
+            )
 
     def test_steady_mode_single_batched_solve(self, config_name):
         chip = get_configuration(config_name)

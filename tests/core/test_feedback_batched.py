@@ -3,8 +3,9 @@
 Before the :class:`repro.core.experiment.FeedbackPlan`, threshold/adaptive
 policies cost one dict-round-tripped steady solve per epoch plus a
 standalone probe of the static pre-experiment power.  The reference
-implementations below replicate that seed loop verbatim on the public
-dict-view APIs; the batched pipeline must reproduce its trajectories —
+implementations below replicate that seed loop verbatim on the solver's
+block-name API (``tests/block_oracle.py``); the batched pipeline must
+reproduce its trajectories —
 decisions, migrations and thermal metrics — to <1e-9 at ``k=1`` across
 threshold + adaptive policies, steady + transient modes, and the
 block-level + grid thermal models.  Stride ``k>1`` runs are pinned to the
@@ -12,21 +13,25 @@ same decision trajectories under constant load, and every run is guarded
 to ``ceil(num_epochs / k)`` feedback batches — never a per-epoch solve.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, FeedbackPlan, ThermalExperiment
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import (
     AdaptiveMigrationPolicy,
     PolicyContext,
     ReconfigurationPolicy,
     ThresholdMigrationPolicy,
 )
-from repro.power.trace import vector_to_map
 from repro.thermal.grid import GridThermalModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import block_oracle  # noqa: E402
 
 EPOCHS = 11
 
@@ -68,11 +73,13 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
     period_s = policy.period_us * 1e-6
 
     def feedback(power_vector, epoch_index):
-        temps = model.steady_state_by_coord(vector_to_map(topology, power_vector))
+        temps = block_oracle.steady_by_coord(
+            model, block_oracle.as_map(topology, power_vector)
+        )
         if ambient is not None:
             offset = float(ambient[epoch_index])
             temps = {coord: value + offset for coord, value in temps.items()}
-        return ThermalMetrics.from_map(temps)
+        return block_oracle.metrics(topology, temps)
 
     previous_power = controller.static_power_vector()
     previous_thermal = None
@@ -83,8 +90,8 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
         context = PolicyContext(
             epoch_index=epoch_index,
             current_thermal=previous_thermal,
-            current_power_map=vector_to_map(topology, previous_power),
             topology=topology,
+            current_power_vector=previous_power,
         )
         transform = policy.decide(context)
         cost = None
@@ -103,18 +110,16 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
 def reference_steady_feedback(chip, policy, settings, model, ambient=None):
     """Seed steady mode on top of the per-epoch feedback loop."""
     epochs = _reference_feedback_epochs(chip, policy, settings, model, ambient)
-    per_epoch = [
-        ThermalMetrics.from_map(
-            model.steady_state_by_coord(vector_to_map(chip.topology, power))
-        )
-        for power, _cost, _name in epochs
-    ]
+    topology = chip.topology
+
+    def solve(power):
+        temps = block_oracle.steady_by_coord(model, block_oracle.as_map(topology, power))
+        return block_oracle.metrics(topology, temps)
+
+    per_epoch = [solve(power) for power, _cost, _name in epochs]
     settle_count = settings.settled_count(len(epochs))
     settled_power = np.mean([power for power, _c, _n in epochs[-settle_count:]], axis=0)
-    settled = ThermalMetrics.from_map(
-        model.steady_state_by_coord(vector_to_map(chip.topology, settled_power))
-    )
-    return epochs, per_epoch, settled
+    return epochs, per_epoch, solve(settled_power)
 
 
 def reference_transient_feedback(chip, policy, settings, model):
@@ -123,13 +128,14 @@ def reference_transient_feedback(chip, policy, settings, model):
     period_s = policy.period_us * 1e-6
     time_step = period_s / settings.transient_steps_per_epoch
     averaged = np.mean([power for power, _c, _n in epochs], axis=0)
-    state = model.warm_state(vector_to_map(chip.topology, averaged))
+    state = block_oracle.warm_state(model, block_oracle.as_map(chip.topology, averaged))
 
     peak_by_epoch = []
     per_epoch = []
     for power, _cost, _name in epochs:
-        result = model.transient(
-            vector_to_map(chip.topology, power),
+        result = block_oracle.transient(
+            model,
+            block_oracle.as_map(chip.topology, power),
             period_s,
             initial_state=state,
             time_step_s=time_step,
@@ -137,12 +143,9 @@ def reference_transient_feedback(chip, policy, settings, model):
         )
         state = result.final_state_kelvin
         series = model.unit_series(result)
-        final = {
-            coord: float(series[idx, -1])
-            for idx, coord in enumerate(chip.topology.coordinates())
-        }
+        final = block_oracle.as_map(chip.topology, series[:, -1])
         peak_by_epoch.append(float(series.max()))
-        per_epoch.append(ThermalMetrics.from_map(final))
+        per_epoch.append(block_oracle.metrics(chip.topology, final))
 
     settle_count = settings.settled_count(len(epochs))
     settled_peak = float(np.max(peak_by_epoch[-settle_count:]))
@@ -328,13 +331,13 @@ class TestSolveCounts:
         assert solver.transient_sequence_count - sequences_before == 1
 
     def test_probe_rides_the_batch_not_the_dict_path(self, monkeypatch):
-        """The epoch-0 probe must not be a standalone dict-path solve."""
+        """The epoch-0 probe must not be a standalone single-map solve."""
         chip = get_configuration("A")
         monkeypatch.setattr(
-            chip.thermal_model,
-            "steady_state_by_coord",
+            chip.thermal_model.solver,
+            "steady_state",
             lambda *_a, **_k: pytest.fail(
-                "feedback took the per-map dict path; the probe and every "
+                "feedback took a per-map solve; the probe and every "
                 "refresh must ride the batched steady_temperatures call"
             ),
         )
@@ -409,39 +412,13 @@ class TestRequiresThermalFeedbackAttribute:
 
 # ----------------------------------------------------------------------
 class TestVectorNativeContext:
-    def test_dict_view_is_lazy_and_cached(self):
-        chip = get_configuration("A")
-        vector = np.linspace(0.0, 3.0, chip.topology.num_nodes)
-        context = PolicyContext(
-            epoch_index=0,
-            current_thermal=None,
-            topology=chip.topology,
-            current_power_vector=vector,
-        )
-        assert context._power_map is None  # nothing built yet
-        view = context.current_power_map
-        assert view == vector_to_map(chip.topology, vector)
-        assert context.current_power_map is view  # cached, not rebuilt
-
-    def test_explicit_dict_still_accepted(self):
-        chip = get_configuration("A")
-        powers = {coord: 1.0 for coord in chip.topology.coordinates()}
-        context = PolicyContext(
-            epoch_index=0,
-            current_thermal=None,
-            current_power_map=powers,
-            topology=chip.topology,
-        )
-        assert context.current_power_map == powers
-        assert context.has_power
-
     def test_no_power_info(self):
         chip = get_configuration("A")
         context = PolicyContext(
             epoch_index=0, current_thermal=None, topology=chip.topology
         )
         assert not context.has_power
-        assert context.current_power_map == {}
+        assert context.current_power_vector is None
 
     def test_topology_required(self):
         with pytest.raises(TypeError, match="topology"):

@@ -9,24 +9,30 @@ from repro.core.metrics import (
     PerformanceMetrics,
     ThermalMetrics,
 )
+from repro.noc.topology import MeshTopology
 
 
 class TestThermalMetrics:
-    def test_from_map(self):
-        metrics = ThermalMetrics.from_map({(0, 0): 50.0, (1, 0): 70.0, (2, 0): 60.0})
+    def test_from_vector(self):
+        topology = MeshTopology(3, 1)
+        values = np.array([50.0, 70.0, 60.0])
+        metrics = ThermalMetrics.from_vector(topology, values)
         assert metrics.peak_celsius == 70.0
         assert metrics.min_celsius == 50.0
         assert metrics.mean_celsius == pytest.approx(60.0)
         assert metrics.spread_celsius == pytest.approx(20.0)
-        assert metrics.hottest_unit() == (1, 0)
+        values[1] = 0.0  # the record keeps its own copy
+        assert metrics.per_unit_celsius[1] == 70.0
+        with pytest.raises(ValueError):
+            ThermalMetrics.from_vector(topology, np.zeros(4))
 
     def test_spatial_std(self):
-        metrics = ThermalMetrics.from_map({(0, 0): 50.0, (1, 0): 50.0})
+        metrics = ThermalMetrics.from_vector(MeshTopology(2, 1), np.array([50.0, 50.0]))
         assert metrics.spatial_std_celsius == pytest.approx(0.0)
 
     def test_empty_per_unit(self):
         metrics = ThermalMetrics(peak_celsius=10, mean_celsius=5, min_celsius=1)
-        assert metrics.hottest_unit() is None
+        assert metrics.per_unit_celsius.size == 0
         assert metrics.spatial_std_celsius == 0.0
 
 
@@ -49,11 +55,10 @@ class TestPerformanceMetrics:
 
 
 def _result(baseline_peak=85.0, settled_peak=80.0, baseline_mean=70.0, settled_mean=70.5):
-    thermal = ThermalMetrics.from_map({(0, 0): settled_peak})
+    thermal = ThermalMetrics.from_vector(MeshTopology(1, 1), np.array([settled_peak]))
     epochs = [
         EpochRecord(
             epoch_index=0,
-            mapping_permutation=[],
             transform_applied="xy-shift",
             migration_cycles=100,
             migration_energy_j=1e-6,

@@ -1,5 +1,6 @@
 """Tests for the reconfiguration policies."""
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import ThermalMetrics
@@ -14,13 +15,13 @@ from repro.core.policy import (
 
 
 def _context(mesh, epoch=1, peak=90.0, hottest=(2, 2)):
-    per_unit = {coord: 60.0 for coord in mesh.coordinates()}
-    per_unit[hottest] = peak
+    per_unit = np.full(mesh.num_nodes, 60.0)
+    per_unit[mesh.node_id(hottest)] = peak
     return PolicyContext(
         epoch_index=epoch,
-        current_thermal=ThermalMetrics.from_map(per_unit),
-        current_power_map={coord: 1.0 for coord in mesh.coordinates()},
+        current_thermal=ThermalMetrics.from_vector(mesh, per_unit),
         topology=mesh,
+        current_power_vector=np.ones(mesh.num_nodes),
     )
 
 
@@ -67,9 +68,7 @@ class TestThreshold:
 
     def test_no_thermal_info_no_migration(self, mesh4):
         policy = ThresholdMigrationPolicy(mesh4, "xy-shift", trigger_celsius=80.0)
-        context = PolicyContext(
-            epoch_index=0, current_thermal=None, current_power_map={}, topology=mesh4
-        )
+        context = PolicyContext(epoch_index=0, current_thermal=None, topology=mesh4)
         assert policy.decide(context) is None
 
     def test_reset_clears_counter(self, mesh4):

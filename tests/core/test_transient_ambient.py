@@ -3,7 +3,8 @@
 The reference implementation is the bluntest possible one: for every epoch,
 rebuild the whole thermal network with that epoch's ambient baked into the
 package (``ambient_celsius + offset``) and integrate the epoch with a
-per-interval ``transient()`` call, carrying the state by hand.  The batched
+per-interval block-name ``transient()`` call on the solver
+(``tests/block_oracle.py``), carrying the state by hand.  The batched
 pipeline — one ``transient_sequence`` call with the per-interval affine
 boundary term ``G_amb * (T_amb + dT_i)`` — must reproduce those trajectories
 to <1e-9 on both integration methods and both thermal models, while issuing
@@ -11,16 +12,20 @@ zero extra solves.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import block_oracle  # noqa: E402
 
 NUM_EPOCHS = 8
 SETTLE = 6
@@ -78,23 +83,27 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
         for coord, watts in power.items():
             averaged[coord] += watts / len(epoch_power_maps)
     # Warm start at the epoch-0 ambient: the settled regime the run enters at.
-    state = _model_at_offset(chip, kind, float(OFFSETS[0])).warm_state(averaged)
+    state = block_oracle.warm_state(
+        _model_at_offset(chip, kind, float(OFFSETS[0])), averaged
+    )
 
     peak_by_epoch = []
     per_epoch = []
     for power, offset in zip(epoch_power_maps, OFFSETS):
         model = _model_at_offset(chip, kind, float(offset))
-        result = model.transient(
-            power, period_s, initial_state=state, time_step_s=time_step, method=method
+        result = block_oracle.transient(
+            model,
+            power,
+            period_s,
+            initial_state=state,
+            time_step_s=time_step,
+            method=method,
         )
         state = result.final_state_kelvin
         series = model.unit_series(result)
         peak_by_epoch.append(float(series.max()))
-        per_epoch.append(
-            ThermalMetrics.from_map(
-                {coord: float(series[idx, -1]) for idx, coord in enumerate(coords)}
-            )
-        )
+        final = block_oracle.as_map(chip.topology, series[:, -1])
+        per_epoch.append(block_oracle.metrics(chip.topology, final))
 
     settle_count = min(SETTLE, len(per_epoch))
     settled_peak = float(np.max(peak_by_epoch[-settle_count:]))
@@ -117,8 +126,9 @@ class TestExactAmbientTransient:
             ambient_offsets_celsius=OFFSETS,
         ).run()
 
+        powers = [block_oracle.as_map(chip.topology, e.power_w) for e in result.epochs]
         per_epoch, settled_peak, settled_mean = _reference_rebuilt_networks(
-            chip, kind, [record.power_map for record in result.epochs], method
+            chip, kind, powers, method
         )
 
         assert result.settled_peak_celsius == pytest.approx(settled_peak, abs=1e-9)
@@ -130,10 +140,12 @@ class TestExactAmbientTransient:
             assert record.thermal.mean_celsius == pytest.approx(
                 expected.mean_celsius, abs=1e-9
             )
-            for coord, value in expected.per_unit_celsius.items():
-                assert record.thermal.per_unit_celsius[coord] == pytest.approx(
-                    value, abs=1e-9
-                )
+            np.testing.assert_allclose(
+                record.thermal.per_unit_celsius,
+                expected.per_unit_celsius,
+                rtol=0,
+                atol=1e-9,
+            )
 
     def test_still_one_transient_sequence(self, kind, method):
         chip = get_configuration("A")

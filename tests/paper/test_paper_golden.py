@@ -5,8 +5,10 @@ runs a periodic migration policy through the whole epoch loop, so this file
 pins the migration path end to end: baseline peak, settled peak and mean,
 peak reduction, throughput penalty, migration count and migration energy.
 It also keeps the paper's Section 3 shape claims (the ones
-``benchmarks/bench_figure1_peak_reduction.py`` prints) and Table 1's
-transform properties on the 4x4 and 5x5 meshes.
+``benchmarks/bench_figure1_peak_reduction.py`` prints), the migration-period
+sweep and chip-wide DTM comparisons (``bench_period_sweep.py`` and
+``bench_dtm_comparison.py``), and Table 1's transform properties on the 4x4
+and 5x5 meshes.
 
 The numeric-stack rule is the one in ``tests/golden_stack.py``: exact ``==``
 where the stack matches the capture machine, ``rel 1e-9`` everywhere.
@@ -30,7 +32,9 @@ from repro.analysis.report import (
     Figure1Report,
     run_figure1_cell,
 )
-from repro.chips import all_configurations
+from repro.analysis.sweep import PAPER_PERIODS_US, run_period_sweep
+from repro.chips import all_configurations, get_configuration
+from repro.core.dtm import DvfsThrottling, StopGoThrottling, compare_with_migration
 from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 from repro.noc.topology import MeshTopology
 
@@ -166,6 +170,56 @@ def test_rotation_and_mirroring_lose_their_edge_on_5x5(report, scheme):
     even = (report.reduction("A", scheme) + report.reduction("B", scheme)) / 2
     odd = sum(report.reduction(config, scheme) for config in ("C", "D", "E")) / 3
     assert even > odd
+
+
+# ----------------------------------------------------------------------
+# The period sweep: the penalty falls as 1/period (1.6 %, <0.4 %, <0.2 %)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sweep_penalties() -> Dict[float, float]:
+    sweep = run_period_sweep(
+        get_configuration("A"),
+        scheme="xy-shift",
+        periods_us=PAPER_PERIODS_US,
+        mode="steady",
+        num_epochs=41,
+    )
+    return sweep.penalties()
+
+
+def test_penalty_falls_with_period(sweep_penalties):
+    assert sweep_penalties[109.0] > sweep_penalties[437.2] > sweep_penalties[874.4]
+
+
+def test_penalty_scales_inversely_with_period(sweep_penalties):
+    assert 3.0 < sweep_penalties[109.0] / sweep_penalties[437.2] < 5.0
+    assert 6.0 < sweep_penalties[109.0] / sweep_penalties[874.4] < 10.0
+
+
+# ----------------------------------------------------------------------
+# Migration vs chip-wide DTM (the introduction's argument)
+# ----------------------------------------------------------------------
+DTM_LEVELS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
+
+
+def test_dtm_peaks_fall_monotonically_with_throughput():
+    chip = get_configuration("A")
+    stop_go = [StopGoThrottling(chip).operating_point(d).peak_celsius for d in DTM_LEVELS]
+    dvfs = [DvfsThrottling(chip).operating_point(f).peak_celsius for f in DTM_LEVELS]
+    assert all(a >= b for a, b in zip(stop_go, stop_go[1:]))
+    assert all(a >= b for a, b in zip(dvfs, dvfs[1:]))
+    # Voltage scaling cools faster per unit of throughput given up.
+    assert dvfs[-1] <= stop_go[-1]
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+def test_migration_reaches_its_peak_cheaper_than_global_dtm(name):
+    comparison = compare_with_migration(
+        get_configuration(name), scheme="xy-shift", num_epochs=41
+    )
+    assert comparison.migration_penalty < 0.05
+    assert comparison.stop_go_penalty > comparison.migration_penalty
+    assert comparison.dvfs_penalty > comparison.migration_penalty
 
 
 # ----------------------------------------------------------------------

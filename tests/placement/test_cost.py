@@ -43,8 +43,10 @@ class TestValidation:
 class TestCosts:
     def test_power_map_follows_mapping(self, cost_model, mesh4):
         mapping = Mapping.identity(mesh4)
-        power = cost_model.power_map(mapping)
-        assert power[(0, 0)] == 6.0
+        power = cost_model.power_vector(mapping)
+        assert power[mesh4.node_id((0, 0))] == 6.0
+        swapped = Mapping.from_permutation(mesh4, [1, 0] + list(range(2, 16)))
+        assert cost_model.power_vector(swapped)[mesh4.node_id((1, 0))] == 6.0
 
     def test_peak_temperature_positive(self, cost_model, mesh4):
         assert cost_model.peak_temperature(Mapping.identity(mesh4)) > 40.0
@@ -92,6 +94,4 @@ class TestCosts:
             workload=small_workload,
         )
         mapping = Mapping.identity(mesh4)
-        assert sum(with_comm.power_map(mapping).values()) > sum(
-            bare.power_map(mapping).values()
-        )
+        assert with_comm.power_vector(mapping).sum() > bare.power_vector(mapping).sum()

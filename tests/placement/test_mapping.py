@@ -73,11 +73,6 @@ class TestTransforms:
 
 
 class TestUtilities:
-    def test_as_power_map(self, identity_mapping4, mesh4):
-        per_task = {task: float(task) for task in range(16)}
-        power = identity_mapping4.as_power_map(per_task)
-        assert power[mesh4.coordinate(5)] == 5.0
-
     def test_copy_is_independent(self, identity_mapping4):
         clone = identity_mapping4.copy()
         assert clone == identity_mapping4

@@ -3,39 +3,42 @@
 import numpy as np
 import pytest
 
-from repro.power.trace import PowerSample, PowerTrace, map_to_vector, vector_to_map
+from repro.power.trace import PowerTrace, map_to_vector
 
 
 class TestPowerSample:
+    """One sample: a duration and a row-major per-unit power vector."""
+
     def test_totals(self, mesh4, uniform_power4):
-        sample = PowerSample(duration_s=1e-3, power_w=uniform_power4)
-        assert sample.total_power_w == pytest.approx(32.0)
-        assert sample.peak_power_w == pytest.approx(2.0)
-        assert sample.energy_j == pytest.approx(32.0 * 1e-3)
+        trace = PowerTrace(mesh4)
+        trace.add_interval(1e-3, uniform_power4)
+        assert trace.average_power_w == pytest.approx(32.0)
+        assert trace.peak_unit_power() == pytest.approx(2.0)
+        assert trace.total_energy_j == pytest.approx(32.0 * 1e-3)
 
-    def test_rejects_bad_duration(self, uniform_power4):
+    def test_rejects_bad_duration(self, mesh4, uniform_power4):
         with pytest.raises(ValueError):
-            PowerSample(duration_s=0.0, power_w=uniform_power4)
+            PowerTrace(mesh4).add_interval(0.0, uniform_power4)
 
-    def test_rejects_negative_power(self):
+    def test_rejects_negative_power(self, mesh4):
         with pytest.raises(ValueError):
-            PowerSample(duration_s=1.0, power_w={(0, 0): -1.0})
+            PowerTrace(mesh4).add_interval(1.0, map_to_vector(mesh4, {(0, 0): -1.0}))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_duration(self, bad, uniform_power4):
+    def test_rejects_non_finite_duration(self, bad, mesh4, uniform_power4):
         # NaN passes a `<= 0` gate (all comparisons are False), so the
         # validation must check finiteness explicitly.
         with pytest.raises(ValueError, match="positive and finite"):
-            PowerSample(duration_s=bad, power_w=uniform_power4)
+            PowerTrace(mesh4).add_interval(bad, uniform_power4)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_power(self, bad):
+    def test_rejects_non_finite_power(self, bad, mesh4):
+        power = map_to_vector(mesh4, {(0, 0): 1.0, (1, 1): bad})
         with pytest.raises(ValueError, match="non-finite or negative"):
-            PowerSample(duration_s=1.0, power_w={(0, 0): 1.0, (1, 1): bad})
+            PowerTrace(mesh4).add_interval(1.0, power)
 
     def test_as_vector(self, mesh4):
-        sample = PowerSample(duration_s=1.0, power_w={(1, 0): 3.0})
-        vector = sample.as_vector(mesh4)
+        vector = map_to_vector(mesh4, {(1, 0): 3.0})
         assert vector[mesh4.node_id((1, 0))] == 3.0
         assert vector.sum() == pytest.approx(3.0)
 
@@ -44,7 +47,7 @@ class TestPowerTrace:
     def test_append_and_totals(self, mesh4, uniform_power4):
         trace = PowerTrace(mesh4)
         trace.add_interval(1e-3, uniform_power4)
-        trace.add_interval(2e-3, {coord: 1.0 for coord in mesh4.coordinates()})
+        trace.add_interval(2e-3, np.ones(mesh4.num_nodes))
         assert len(trace) == 2
         assert trace.total_duration_s == pytest.approx(3e-3)
         assert trace.total_energy_j == pytest.approx(32e-3 + 32e-3)
@@ -58,10 +61,11 @@ class TestPowerTrace:
 
     def test_average_power_per_unit_time_weighted(self, mesh4):
         trace = PowerTrace(mesh4)
-        trace.add_interval(1.0, {(0, 0): 4.0})
-        trace.add_interval(3.0, {(0, 0): 0.0})
-        averages = trace.average_power_per_unit()
-        assert averages[(0, 0)] == pytest.approx(1.0)
+        trace.add_interval(1.0, map_to_vector(mesh4, {(0, 0): 4.0}))
+        trace.add_interval(3.0, np.zeros(mesh4.num_nodes))
+        averages = trace.average_vector()
+        assert averages[mesh4.node_id((0, 0))] == pytest.approx(1.0)
+        assert averages.sum() == pytest.approx(1.0)
 
     def test_as_matrix_shapes(self, mesh4, uniform_power4):
         trace = PowerTrace(mesh4)
@@ -71,17 +75,10 @@ class TestPowerTrace:
         assert durations.shape == (2,)
         assert powers.shape == (2, 16)
 
-    def test_iteration(self, mesh4, uniform_power4):
-        trace = PowerTrace(mesh4)
-        trace.add_interval(1e-3, uniform_power4)
-        samples = list(trace)
-        assert len(samples) == 1
-        assert isinstance(samples[0], PowerSample)
-
     def test_peak_unit_power(self, mesh4):
         trace = PowerTrace(mesh4)
-        trace.add_interval(1.0, {(0, 0): 1.0, (1, 1): 5.0})
-        trace.add_interval(1.0, {(2, 2): 3.0})
+        trace.add_interval(1.0, map_to_vector(mesh4, {(0, 0): 1.0, (1, 1): 5.0}))
+        trace.add_interval(1.0, map_to_vector(mesh4, {(2, 2): 3.0}))
         assert trace.peak_unit_power() == 5.0
 
 
@@ -129,7 +126,6 @@ class TestArrayNativeTrace:
         vector = np.linspace(0.0, 3.0, 16)
         trace.add_interval(1e-3, vector)
         assert np.array_equal(trace.powers[0], vector)
-        assert trace.power_map(0) == vector_to_map(mesh4, vector)
 
     def test_vector_rejects_negative_and_bad_shape(self, mesh4):
         trace = PowerTrace(mesh4)
@@ -167,19 +163,10 @@ class TestArrayNativeTrace:
         with pytest.raises(ValueError):
             trace.mean_tail_vector(4)
 
-    def test_intervals_edge_view(self, mesh4, uniform_power4):
-        trace = PowerTrace(mesh4)
-        trace.add_interval(1e-3, uniform_power4)
-        intervals = trace.intervals()
-        assert len(intervals) == 1
-        duration, power = intervals[0]
-        assert duration == 1e-3
-        assert power == uniform_power4
-
     def test_map_vector_helpers(self, mesh4):
         mapping = {coord: float(mesh4.node_id(coord)) for coord in mesh4.coordinates()}
         vector = map_to_vector(mesh4, mapping)
         assert np.array_equal(vector, np.arange(16.0))
-        assert vector_to_map(mesh4, vector) == mapping
+        assert np.array_equal(map_to_vector(mesh4, {}), np.zeros(16))
         with pytest.raises(ValueError):
-            vector_to_map(mesh4, np.zeros(5))
+            map_to_vector(mesh4, {(4, 0): 1.0})

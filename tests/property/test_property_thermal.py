@@ -18,45 +18,39 @@ power_values = st.floats(min_value=0.0, max_value=8.0, allow_nan=False, allow_in
 power_maps = st.lists(power_values, min_size=16, max_size=16)
 
 
-def _to_map(values):
-    return {coord: values[_MESH.node_id(coord)] for coord in _MESH.coordinates()}
+def _steady(power):
+    """Per-unit steady temperatures of one row-major power vector."""
+    return _MODEL.steady_temperatures(np.asarray(power)[np.newaxis, :])[0]
 
 
 class TestSteadyStateProperties:
     @given(values=power_maps)
     @settings(max_examples=40, deadline=None)
     def test_temperatures_never_below_ambient(self, values):
-        temps = _MODEL.steady_state_by_coord(_to_map(values))
-        assert all(t >= 40.0 - 1e-6 for t in temps.values())
+        assert np.all(_steady(values) >= 40.0 - 1e-6)
 
     @given(values=power_maps, scale=st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_linearity_of_temperature_rise(self, values, scale):
-        base = _to_map(values)
-        scaled = {coord: watts * scale for coord, watts in base.items()}
+        base = np.array(values)
         base_peak_rise = _MODEL.peak_temperature(base) - 40.0
-        scaled_peak_rise = _MODEL.peak_temperature(scaled) - 40.0
+        scaled_peak_rise = _MODEL.peak_temperature(base * scale) - 40.0
         assert np.isclose(scaled_peak_rise, scale * base_peak_rise, rtol=1e-6, atol=1e-9)
 
     @given(values=power_maps, extra=st.floats(0.1, 5.0), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_monotonicity_adding_power_never_cools(self, values, extra, data):
-        base = _to_map(values)
-        target = data.draw(st.sampled_from(list(_MESH.coordinates())))
-        hotter = dict(base)
-        hotter[target] = hotter[target] + extra
-        base_temps = _MODEL.steady_state_by_coord(base)
-        hot_temps = _MODEL.steady_state_by_coord(hotter)
+        base = np.array(values)
+        target = data.draw(st.integers(0, _MESH.num_nodes - 1))
+        hotter = base.copy()
+        hotter[target] += extra
         # Every unit's temperature is a non-decreasing function of any unit's power.
-        for coord in _MESH.coordinates():
-            assert hot_temps[coord] >= base_temps[coord] - 1e-9
+        assert np.all(_steady(hotter) >= _steady(base) - 1e-9)
 
     @given(values=power_maps)
     @settings(max_examples=30, deadline=None)
     def test_peak_is_max_of_map(self, values):
-        power = _to_map(values)
-        temps = _MODEL.steady_state_by_coord(power)
-        assert _MODEL.peak_temperature(power) == max(temps.values())
+        assert _MODEL.peak_temperature(np.array(values)) == _steady(values).max()
 
 
 class TestEnergyConservation:
@@ -65,11 +59,12 @@ class TestEnergyConservation:
     def test_heat_flow_to_ambient_matches_input_power(self, values):
         """In steady state, all dissipated power leaves through the sink's
         convection resistance: (T_sink - T_amb) / R_conv == total power."""
-        power = _to_map(values)
-        total_power = sum(power.values())
+        total_power = sum(values)
         network = _MODEL.network
         solver = ThermalSolver(network)
-        block_power = {f"PE_{x}_{y}": w for (x, y), w in power.items()}
+        block_power = {
+            f"PE_{x}_{y}": values[_MESH.node_id((x, y))] for (x, y) in _MESH.coordinates()
+        }
         temps = solver.steady_state(block_power)
         sink_index = network.num_nodes - 1
         sink_kelvin = temps.node_kelvin[sink_index]
@@ -87,13 +82,6 @@ class TestPermutationInvariance:
         never the total dissipated power, so the sink temperature is identical
         and the mean die temperature moves only a little."""
         rng = np.random.default_rng(seed)
-        base = _to_map(values)
-        permuted_values = rng.permutation(values)
-        permuted = _to_map(list(permuted_values))
-        base_temps = _MODEL.steady_state_by_coord(base)
-        perm_temps = _MODEL.steady_state_by_coord(permuted)
-        assert np.isclose(
-            np.mean(list(base_temps.values())),
-            np.mean(list(perm_temps.values())),
-            atol=1.5,
-        )
+        base_temps = _steady(values)
+        perm_temps = _steady(rng.permutation(values))
+        assert np.isclose(np.mean(base_temps), np.mean(perm_temps), atol=1.5)

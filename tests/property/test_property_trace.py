@@ -1,15 +1,16 @@
 """Property-based tests: PowerTrace round-trips arbitrary power maps.
 
-The array-native trace must be a lossless container: dict in, dict out
-(modulo zero-fill for missing coordinates), arrays in, arrays out, and the
-aggregates must match their dict-loop definitions.
+The array-native trace must be a lossless container: hand-authored dicts in
+through :func:`map_to_vector`, the same per-coordinate values out of the
+row-major rows, arrays in, arrays out, and the aggregates must match their
+dict-loop definitions.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.topology import MeshTopology
-from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
+from repro.power.trace import PowerTrace, map_to_vector
 
 _MESH = MeshTopology(4, 4)
 _COORDS = list(_MESH.coordinates())
@@ -27,19 +28,24 @@ def _to_map(values):
     return {coord: values[_MESH.node_id(coord)] for coord in _COORDS}
 
 
+def _from_vector(vector):
+    """Per-coordinate dict of a row-major vector (the test-side inverse)."""
+    return {coord: float(vector[index]) for index, coord in enumerate(_COORDS)}
+
+
 class TestVectorMapRoundTrip:
     @given(values=power_rows)
     @settings(max_examples=50, deadline=None)
     def test_map_vector_map(self, values):
         mapping = _to_map(values)
-        assert vector_to_map(_MESH, map_to_vector(_MESH, mapping)) == mapping
+        assert _from_vector(map_to_vector(_MESH, mapping)) == mapping
 
     @given(values=power_rows)
     @settings(max_examples=50, deadline=None)
     def test_vector_map_vector(self, values):
         vector = np.array(values)
         assert np.array_equal(
-            map_to_vector(_MESH, vector_to_map(_MESH, vector)), vector
+            map_to_vector(_MESH, _from_vector(vector)), vector
         )
 
 
@@ -49,14 +55,11 @@ class TestTraceRoundTrip:
     def test_dict_in_dict_out(self, rows):
         trace = PowerTrace(_MESH)
         for duration, values in rows:
-            trace.add_interval(duration, _to_map(values))
+            trace.add_interval(duration, map_to_vector(_MESH, _to_map(values)))
         assert len(trace) == len(rows)
         for index, (duration, values) in enumerate(rows):
-            assert trace.power_map(index) == _to_map(values)
+            assert _from_vector(trace.powers[index]) == _to_map(values)
             assert float(trace.durations[index]) == duration
-            sample = trace.sample(index)
-            assert sample.duration_s == duration
-            assert sample.power_w == _to_map(values)
 
     @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
@@ -146,7 +149,7 @@ class TestTraceAggregates:
     def test_aggregates_match_dict_loop(self, rows):
         trace = PowerTrace(_MESH)
         for duration, values in rows:
-            trace.add_interval(duration, _to_map(values))
+            trace.add_interval(duration, map_to_vector(_MESH, _to_map(values)))
 
         total_duration = sum(duration for duration, _values in rows)
         total_energy = sum(
@@ -160,7 +163,7 @@ class TestTraceAggregates:
             mapping = _to_map(values)
             for coord, watts in mapping.items():
                 expected_average[coord] += watts * duration / total_duration
-        averages = trace.average_power_per_unit()
+        averages = _from_vector(trace.average_vector())
         for coord in _COORDS:
             assert averages[coord] == pytest_approx(expected_average[coord])
 
@@ -179,7 +182,7 @@ class TestTraceAggregates:
         for values in rows[-tail:]:
             for coord, watts in _to_map(values).items():
                 expected[coord] += watts / tail
-        settled = vector_to_map(_MESH, trace.mean_tail_vector(tail))
+        settled = _from_vector(trace.mean_tail_vector(tail))
         for coord in _COORDS:
             assert settled[coord] == pytest_approx(expected[coord])
 

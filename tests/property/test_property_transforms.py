@@ -95,7 +95,9 @@ class TestMappingProperties:
         transform = make_transform(scheme, topology)
         mapping = Mapping.identity(topology)
         per_task = {task: float(task % 5) + 0.5 for task in range(topology.num_nodes)}
-        before = sum(mapping.as_power_map(per_task).values())
         migrated = mapping.apply_transform(transform)
-        after = sum(migrated.as_power_map(per_task).values())
-        assert abs(before - after) < 1e-9
+        before = {mapping.physical_of(task): watts for task, watts in per_task.items()}
+        after = {migrated.physical_of(task): watts for task, watts in per_task.items()}
+        # Every PE still hosts exactly one task's power.
+        assert set(after) == set(before) == set(topology.coordinates())
+        assert abs(sum(before.values()) - sum(after.values())) < 1e-9

@@ -139,8 +139,9 @@ class TestModulationSemantics:
             load=FaultPattern(units=(coord,), level=0.0, start_epoch=3),
         )
         result = run_scenario(spec).experiment
-        healthy = result.epochs[0].power_map[coord]
-        faulted = result.epochs[5].power_map[coord]
+        unit = get_configuration("A").topology.node_id(coord)
+        healthy = result.epochs[0].power_w[unit]
+        faulted = result.epochs[5].power_w[unit]
         assert healthy > 0
         assert faulted == 0.0
 

@@ -1,5 +1,6 @@
 """Tests for the grid-mode (refined) thermal model."""
 
+import numpy as np
 import pytest
 
 from repro.thermal.floorplan import mesh_floorplan
@@ -48,58 +49,61 @@ class TestGridThermalModel:
         assert grid3.num_cells == 16 * 9
 
     def test_uniform_power_nearly_uniform_temperature(self, grid3, mesh4):
-        power = {coord: 2.0 for coord in mesh4.coordinates()}
-        result = grid3.steady_state(power)
-        assert result.peak_celsius - min(result.block_mean_celsius.values()) < 2.0
+        power = np.full((1, mesh4.num_nodes), 2.0)
+        peaks = grid3.steady_temperatures(power, statistic="peak")
+        means = grid3.steady_temperatures(power, statistic="mean")
+        assert peaks.max() - means.min() < 2.0
 
     def test_hotspot_block_is_hottest(self, grid3, mesh4):
-        power = {coord: 1.0 for coord in mesh4.coordinates()}
-        power[(2, 1)] = 6.0
-        result = grid3.steady_state(power)
-        assert result.hottest_block() == "PE_2_1"
+        power = np.ones(mesh4.num_nodes)
+        power[mesh4.node_id((2, 1))] = 6.0
+        peaks = grid3.steady_temperatures(power[np.newaxis, :])[0]
+        assert mesh4.coordinate(int(np.argmax(peaks))) == (2, 1)
 
     def test_peak_at_least_block_mean(self, grid3, mesh4):
-        power = {coord: 1.0 for coord in mesh4.coordinates()}
-        power[(1, 1)] = 5.0
-        result = grid3.steady_state(power)
-        for block in result.block_peak_celsius:
-            assert result.block_peak_celsius[block] >= result.block_mean_celsius[block] - 1e-9
+        power = np.ones((1, mesh4.num_nodes))
+        power[0, mesh4.node_id((1, 1))] = 5.0
+        peaks = grid3.steady_temperatures(power, statistic="peak")
+        means = grid3.steady_temperatures(power, statistic="mean")
+        assert np.all(peaks >= means - 1e-9)
 
     def test_close_to_block_model(self, mesh4):
         """The grid model's block means track the block model's temperatures
         (same physics, finer discretisation)."""
-        power = {coord: 1.5 for coord in mesh4.coordinates()}
-        power[(3, 2)] = 4.0
-        block_model = HotSpotModel(mesh4)
-        grid_model = GridThermalModel(mesh4, resolution=2)
-        block_temps = block_model.steady_state_by_coord(power)
-        grid_means = grid_model.steady_state_by_coord(power, statistic="mean")
-        for coord in mesh4.coordinates():
-            assert grid_means[coord] == pytest.approx(block_temps[coord], abs=2.5)
+        power = np.full((1, mesh4.num_nodes), 1.5)
+        power[0, mesh4.node_id((3, 2))] = 4.0
+        block_temps = HotSpotModel(mesh4).steady_temperatures(power)
+        grid_means = GridThermalModel(mesh4, resolution=2).steady_temperatures(
+            power, statistic="mean"
+        )
+        np.testing.assert_allclose(grid_means, block_temps, rtol=0, atol=2.5)
 
     def test_grid_reveals_intra_block_gradient(self, mesh4):
         """A hot unit next to cool neighbours shows an internal gradient: its
         peak cell is hotter than its mean."""
         grid_model = GridThermalModel(mesh4, resolution=3)
-        power = {coord: 0.5 for coord in mesh4.coordinates()}
-        power[(1, 2)] = 6.0
-        result = grid_model.steady_state(power)
-        assert result.block_peak_celsius["PE_1_2"] > result.block_mean_celsius["PE_1_2"] + 0.05
+        power = np.full((1, mesh4.num_nodes), 0.5)
+        hot = mesh4.node_id((1, 2))
+        power[0, hot] = 6.0
+        peaks = grid_model.steady_temperatures(power, statistic="peak")[0]
+        means = grid_model.steady_temperatures(power, statistic="mean")[0]
+        assert peaks[hot] > means[hot] + 0.05
 
     def test_by_coord_statistics(self, mesh4):
         grid_model = GridThermalModel(mesh4, resolution=2)
-        power = {coord: 2.0 for coord in mesh4.coordinates()}
-        peaks = grid_model.steady_state_by_coord(power, statistic="peak")
-        means = grid_model.steady_state_by_coord(power, statistic="mean")
-        assert set(peaks) == set(mesh4.coordinates())
-        for coord in mesh4.coordinates():
-            assert peaks[coord] >= means[coord] - 1e-9
+        power = np.full((1, mesh4.num_nodes), 2.0)
+        peaks = grid_model.steady_temperatures(power, statistic="peak")
+        means = grid_model.steady_temperatures(power, statistic="mean")
+        assert peaks.shape == means.shape == (1, mesh4.num_nodes)
+        assert np.all(peaks >= means - 1e-9)
 
     def test_input_validation(self, mesh4):
         grid_model = GridThermalModel(mesh4, resolution=2)
-        with pytest.raises(ValueError):
-            grid_model.steady_state({(9, 9): 1.0})
-        with pytest.raises(ValueError):
-            grid_model.steady_state({(0, 0): -1.0})
+        with pytest.raises(ValueError, match="units per row"):
+            grid_model.steady_temperatures(np.ones((1, 25)))
+        negative = np.ones((1, mesh4.num_nodes))
+        negative[0, 0] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            grid_model.steady_temperatures(negative)
         with pytest.raises(ValueError):
             GridThermalModel(mesh4, resolution=0)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.noc.topology import MeshTopology
+from repro.power.trace import PowerTrace
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
+
+
+def _trace(mesh, duration_s, *rows):
+    return PowerTrace.from_arrays(mesh, np.full(len(rows), duration_s), np.vstack(rows))
 
 
 class TestSteadyStateFacade:
@@ -13,27 +18,30 @@ class TestSteadyStateFacade:
         assert thermal4.ambient_celsius == 40.0
 
     def test_keyed_by_coordinate(self, thermal4, uniform_power4, mesh4):
-        temps = thermal4.steady_state_by_coord(uniform_power4)
-        assert set(temps) == set(mesh4.coordinates())
-        assert all(t > 40.0 for t in temps.values())
+        temps = thermal4.steady_temperatures(uniform_power4[np.newaxis, :])
+        assert temps.shape == (1, mesh4.num_nodes)
+        assert np.all(temps > 40.0)
 
     def test_peak_temperature_shortcut(self, thermal4, uniform_power4):
-        full = thermal4.steady_state(uniform_power4)
-        assert thermal4.peak_temperature(uniform_power4) == pytest.approx(full.peak_celsius)
+        full = thermal4.steady_temperatures(uniform_power4[np.newaxis, :])
+        assert thermal4.peak_temperature(uniform_power4) == full.max()
 
     def test_rejects_outside_coordinates(self, thermal4):
-        with pytest.raises(ValueError):
-            thermal4.steady_state({(9, 9): 1.0})
+        # A vector sized for a larger mesh names PEs outside this one.
+        with pytest.raises(ValueError, match="units per row"):
+            thermal4.steady_temperatures(np.ones((1, 25)))
+        with pytest.raises(ValueError, match="units per row"):
+            thermal4.peak_temperature(np.ones(9))
 
-    def test_hotspot_location_matches_power(self, thermal4, uniform_power4):
-        power = dict(uniform_power4)
-        power[(3, 0)] = 8.0
-        temps = thermal4.steady_state_by_coord(power)
-        assert max(temps, key=temps.get) == (3, 0)
+    def test_hotspot_location_matches_power(self, thermal4, uniform_power4, mesh4):
+        power = uniform_power4.copy()
+        power[mesh4.node_id((3, 0))] = 8.0
+        temps = thermal4.steady_temperatures(power[np.newaxis, :])[0]
+        assert mesh4.coordinate(int(np.argmax(temps))) == (3, 0)
 
     def test_more_power_hotter(self, thermal4, uniform_power4):
         low = thermal4.peak_temperature(uniform_power4)
-        high = thermal4.peak_temperature({c: 3.0 for c in uniform_power4})
+        high = thermal4.peak_temperature(np.full_like(uniform_power4, 3.0))
         assert high > low
 
     def test_custom_ambient(self, mesh4, uniform_power4):
@@ -44,20 +52,23 @@ class TestSteadyStateFacade:
 
 
 class TestTransientFacade:
-    def test_transient_by_coordinate_power(self, thermal4, uniform_power4):
-        result = thermal4.transient(uniform_power4, duration_s=1e-3)
+    def test_transient_by_coordinate_power(self, thermal4, uniform_power4, mesh4):
+        result = thermal4.transient_sequence(_trace(mesh4, 1e-3, uniform_power4))
         assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
         assert result.peak_celsius >= 40.0
 
-    def test_warm_state_round_trip(self, thermal4, uniform_power4):
+    def test_warm_state_round_trip(self, thermal4, uniform_power4, mesh4):
         warm = thermal4.warm_state(uniform_power4)
-        steady = thermal4.steady_state(uniform_power4)
-        result = thermal4.transient(uniform_power4, duration_s=1e-3, initial_state=warm)
-        assert result.final_map().peak_celsius == pytest.approx(steady.peak_celsius, abs=0.01)
+        result = thermal4.transient_sequence(
+            _trace(mesh4, 1e-3, uniform_power4), initial_state=warm
+        )
+        assert result.final_map().peak_celsius == pytest.approx(
+            thermal4.peak_temperature(uniform_power4), abs=0.01
+        )
 
-    def test_transient_sequence_facade(self, thermal4, uniform_power4):
-        hot = {c: 3.0 for c in uniform_power4}
-        result = thermal4.transient_sequence([(5e-4, uniform_power4), (5e-4, hot)])
+    def test_transient_sequence_facade(self, thermal4, uniform_power4, mesh4):
+        hot = np.full_like(uniform_power4, 3.0)
+        result = thermal4.transient_sequence(_trace(mesh4, 5e-4, uniform_power4, hot))
         assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
 
     def test_time_constant_positive(self, thermal4):
@@ -68,12 +79,11 @@ class TestTransientFacade:
 class TestMeshSizes:
     def test_5x5_model(self, mesh5):
         model = HotSpotModel(mesh5)
-        power = {c: 1.5 for c in mesh5.coordinates()}
-        temps = model.steady_state_by_coord(power)
-        assert len(temps) == 25
+        temps = model.steady_temperatures(np.full((1, 25), 1.5))
+        assert temps.shape == (1, 25)
 
     def test_larger_chip_same_per_unit_power_is_hotter(self, mesh4, mesh5):
         """More units at the same per-unit power dissipate more total heat."""
-        p4 = HotSpotModel(mesh4).peak_temperature({c: 2.0 for c in mesh4.coordinates()})
-        p5 = HotSpotModel(mesh5).peak_temperature({c: 2.0 for c in mesh5.coordinates()})
+        p4 = HotSpotModel(mesh4).peak_temperature(np.full(16, 2.0))
+        p5 = HotSpotModel(mesh5).peak_temperature(np.full(25, 2.0))
         assert p5 > p4

@@ -7,6 +7,9 @@ The grid model must pass the same cache/spectral parity guards as the block
 model — the resolution ablation has no physical reason to be slower.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ from repro.power.trace import PowerTrace
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.model import ThermalModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import block_oracle  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +65,8 @@ class TestSteadyBatch:
         assert batch.shape == (rows.shape[0], mesh.num_nodes)
         coords = list(mesh.coordinates())
         for row_index in range(rows.shape[0]):
-            power = {coord: rows[row_index, mesh.node_id(coord)] for coord in coords}
-            reference = model.steady_state_by_coord(power)
+            power = block_oracle.as_map(mesh, rows[row_index])
+            reference = block_oracle.steady_by_coord(model, power)
             for unit_index, coord in enumerate(coords):
                 assert batch[row_index, unit_index] == pytest.approx(
                     reference[coord], abs=1e-9
@@ -78,6 +84,19 @@ class TestSteadyBatch:
         with pytest.raises(ValueError):
             block_model.steady_temperatures(rows)
 
+    @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_power_is_a_clear_error(self, model_fixture, bad, mesh, request):
+        model = request.getfixturevalue(model_fixture)
+        rows = _power_rows(mesh)
+        rows[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite power"):
+            model.steady_temperatures(rows)
+        with pytest.raises(ValueError, match="non-finite power"):
+            model.peak_temperature(rows[1])
+        with pytest.raises(ValueError, match="non-finite power"):
+            model.warm_state(rows[1])
+
     def test_grid_statistics_ordering(self, grid_model, mesh):
         rows = _power_rows(mesh)
         peaks = grid_model.steady_temperatures(rows, statistic="peak")
@@ -88,15 +107,21 @@ class TestSteadyBatch:
 class TestSequencedTransient:
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
     def test_trace_equals_dict_intervals(self, model_fixture, mesh, request):
-        """The PowerTrace fast path and the dict-interval edge agree exactly."""
+        """The PowerTrace scatter and the solver's block-name intervals agree
+        exactly."""
         model = request.getfixturevalue(model_fixture)
         trace = _trace(mesh)
         state = model.warm_state(trace.powers.mean(axis=0))
         from_trace = model.transient_sequence(
             trace, initial_state=state, time_step_s=2e-4
         )
-        from_dicts = model.transient_sequence(
-            trace.intervals(), initial_state=state, time_step_s=2e-4
+        maps = [block_oracle.as_map(mesh, row) for row in trace.powers]
+        block_intervals = [
+            (float(duration), block_oracle.block_power(model, power))
+            for duration, power in zip(trace.durations, maps)
+        ]
+        from_dicts = model.solver.transient_sequence(
+            block_intervals, initial_state=state, time_step_s=2e-4
         )
         assert from_trace.interval_ranges == from_dicts.interval_ranges
         for name in from_trace.block_celsius:
@@ -152,12 +177,11 @@ class TestSequencedTransient:
         assert series.shape == (mesh.num_nodes, result.times_s.size)
         assert np.isfinite(series).all()
 
-    def test_grid_warm_state_accepts_vector_and_dict(self, grid_model, mesh):
-        vector = np.full(mesh.num_nodes, 2.0)
-        as_dict = {coord: 2.0 for coord in mesh.coordinates()}
-        assert np.allclose(
-            grid_model.warm_state(vector), grid_model.warm_state(as_dict)
-        )
+    def test_grid_warm_state_matches_oracle(self, grid_model, mesh):
+        vector = np.linspace(0.5, 3.0, mesh.num_nodes)
+        as_dict = block_oracle.as_map(mesh, vector)
+        reference = block_oracle.warm_state(grid_model, as_dict)
+        assert np.array_equal(grid_model.warm_state(vector), reference)
 
     def test_grid_time_constant_positive(self, grid_model):
         assert grid_model.thermal_time_constant_s() > 0

@@ -63,6 +63,37 @@ class TestSteadyState:
         assert set(result.as_dict()) == {f"PE_{x}_{y}" for x, y in mesh4.coordinates()}
 
 
+class TestNonFinitePower:
+    """NaN passes a ``min() < 0`` gate; every entry point must still refuse it."""
+
+    @pytest.fixture(params=[np.nan, np.inf])
+    def bad_vector(self, request, solver4):
+        power = np.ones(solver4.network.num_nodes)
+        power[3] = request.param
+        return power
+
+    def test_steady_single(self, solver4, bad_vector):
+        with pytest.raises(ValueError, match="non-finite power"):
+            solver4.steady_state(bad_vector)
+
+    def test_steady_single_block_dict(self, solver4, mesh4, bad_vector):
+        power = _uniform_power(mesh4, 1.0)
+        power["PE_1_1"] = bad_vector[3]
+        with pytest.raises(ValueError, match="non-finite power"):
+            solver4.steady_state(power)
+
+    def test_steady_batch(self, solver4, bad_vector):
+        rows = np.vstack([np.ones_like(bad_vector), bad_vector])
+        with pytest.raises(ValueError, match="non-finite power"):
+            solver4.steady_state_batch(rows)
+
+    @pytest.mark.parametrize("method", ["euler", "spectral"])
+    def test_transient_sequence(self, solver4, bad_vector, method):
+        intervals = [(1e-3, np.ones_like(bad_vector)), (1e-3, bad_vector)]
+        with pytest.raises(ValueError, match="non-finite power"):
+            solver4.transient_sequence(intervals, time_step_s=2.5e-4, method=method)
+
+
 class TestTransient:
     def test_starts_at_ambient_and_heats(self, solver4, mesh4):
         result = solver4.transient(_uniform_power(mesh4, 2.0), duration_s=0.005)
