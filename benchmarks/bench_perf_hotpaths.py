@@ -13,8 +13,7 @@ of the array-native pipeline, and records everything in ``BENCH_perf.json``:
   1e-9 required);
 * **The batched steady experiment** vs. the seed's one-solve-per-epoch loop
   (metrics within 1e-9 required; exactly one multi-RHS solve performed);
-* **The sequenced transient experiment** (one ``transient_sequence`` call,
-  zero per-epoch ``transient()`` round-trips);
+* **The sequenced transient experiment** (one ``transient_sequence`` call);
 * **The grid-model steady batch** vs. per-map solves on the 3x3-refined
   floorplan — the resolution ablation now rides the same fast paths.
 """
@@ -102,11 +101,13 @@ def test_transient_sequence_41_epochs(benchmark):
     """Cached/spectral transient_sequence vs the uncached seed reference."""
     mesh = MeshTopology(4, 4)
     network = build_thermal_network(mesh_floorplan(mesh))
-    hot = {f"PE_{x}_{y}": 2.0 + 0.15 * x for (x, y) in mesh.coordinates()}
-    cool = {f"PE_{x}_{y}": 1.0 for (x, y) in mesh.coordinates()}
+    hot = network.power_vector(
+        {f"PE_{x}_{y}": 2.0 + 0.15 * x for (x, y) in mesh.coordinates()}
+    )
+    cool = network.power_vector({f"PE_{x}_{y}": 1.0 for (x, y) in mesh.coordinates()})
     intervals = [(1e-3, hot if epoch % 2 else cool) for epoch in range(41)]
 
-    reference_solver = ThermalSolver(network, cache_propagators=False)
+    reference_solver = block_oracle.BlockSolver(network)
     solver = ThermalSolver(network)
 
     with perf_utils.timed() as reference_timer:
@@ -122,13 +123,10 @@ def test_transient_sequence_41_epochs(benchmark):
             iterations=1,
         )
 
-    for name in reference.block_celsius:
-        assert np.allclose(
-            reference.block_celsius[name], cached.block_celsius[name], atol=1e-9
-        )
-        assert np.allclose(
-            reference.block_celsius[name], spectral.block_celsius[name], atol=1e-9
-        )
+    for result in (cached, spectral):
+        view = block_oracle.block_view(network, result)
+        for name, series in reference.block_celsius.items():
+            assert np.allclose(series, view.block_celsius[name], atol=1e-9)
     assert solver.step_factorization_count == 1
 
     epochs = len(intervals)
@@ -176,8 +174,10 @@ def test_spectral_sequence_jump(benchmark):
     """
     mesh = MeshTopology(5, 5)
     network = build_thermal_network(mesh_floorplan(mesh))
-    hot = {f"PE_{x}_{y}": 2.0 + 0.1 * (x + y) for (x, y) in mesh.coordinates()}
-    cool = {f"PE_{x}_{y}": 1.0 for (x, y) in mesh.coordinates()}
+    hot = network.power_vector(
+        {f"PE_{x}_{y}": 2.0 + 0.1 * (x + y) for (x, y) in mesh.coordinates()}
+    )
+    cool = network.power_vector({f"PE_{x}_{y}": 1.0 for (x, y) in mesh.coordinates()})
     intervals = [(1e-3, hot if epoch % 2 else cool) for epoch in range(41)]
     # The experiment pipeline's sampling: a handful of implicit steps per
     # migration epoch (transient_steps_per_epoch), one shared dt.
@@ -185,20 +185,16 @@ def test_spectral_sequence_jump(benchmark):
 
     solver = ThermalSolver(network)
     solver._spectral()  # decompose once outside both timers
+    reference = block_oracle.BlockSolver(network)
+    reference._spectral()
 
     # Seed-equivalent reference: what transient_sequence(method="spectral")
     # did before the jump — one weight projection per interval, state carried
-    # by hand.
+    # across intervals.
     with perf_utils.timed() as loop_timer:
-        state = None
-        looped_final = None
-        for duration, power in intervals:
-            step = solver.transient(
-                power, duration, initial_state=state, time_step_s=time_step,
-                method="spectral",
-            )
-            state = step.final_state_kelvin
-        looped_final = state
+        looped_final = reference.transient_sequence(
+            intervals, time_step_s=time_step, method="spectral"
+        ).final_state_kelvin
 
     with perf_utils.timed() as jump_timer:
         jumped = benchmark.pedantic(
@@ -322,7 +318,6 @@ def test_sequenced_transient_experiment(benchmark, chip_a):
     policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
     solver = chip_a.thermal_model.solver
 
-    transients_before = solver.transient_count
     sequences_before = solver.transient_sequence_count
     with perf_utils.timed() as timer:
         result = benchmark.pedantic(
@@ -331,8 +326,7 @@ def test_sequenced_transient_experiment(benchmark, chip_a):
             iterations=1,
         )
     # Regression guard: the experiment layer issues exactly one sequenced
-    # integration; the per-epoch transient() round-trip of the seed is gone.
-    assert solver.transient_count == transients_before
+    # integration.
     assert solver.transient_sequence_count - sequences_before == 1
     assert len(result.epochs) == settings.num_epochs
 

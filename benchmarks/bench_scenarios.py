@@ -6,7 +6,7 @@ costs exactly its batched solve budget** — one multi-RHS steady solve in
 steady mode, one ``transient_sequence`` call (plus the baseline solve and
 the warm start) in transient mode, ``ceil(num_epochs / feedback_stride)``
 chunked feedback batches on top for thermal-feedback policies, and never a
-per-epoch ``transient()`` round-trip or per-epoch feedback solve.  Also
+per-epoch feedback solve.  Also
 benchmarks the chunked feedback loop against the seed per-epoch reference
 (``feedback.batched``), times the whole-registry comparison serially and
 across every core, and checks the controller's migration-cost cache is
@@ -43,7 +43,6 @@ def test_every_scenario_is_one_batched_evaluation():
         compiled = compile_scenario(spec)
         solver = compiled.configuration.thermal_model.solver
         steady_before = solver.steady_solve_count
-        transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
         jumps_before = solver.spectral_jump_count
 
@@ -52,8 +51,6 @@ def test_every_scenario_is_one_batched_evaluation():
         steady_delta = solver.steady_solve_count - steady_before
         sequence_delta = solver.transient_sequence_count - sequences_before
         jump_delta = solver.spectral_jump_count - jumps_before
-        # No per-epoch transient() round-trips, ever.
-        assert solver.transient_count == transients_before
         # Feedback-free scenarios are one batched evaluation; feedback
         # scenarios add exactly ceil(E / stride) chunked batches.
         expected_steady = compiled.expected_steady_solves()
@@ -89,22 +86,20 @@ def test_exact_ambient_transient_rides_the_spectral_jump():
     ``ambient-swing-transient`` drives a diurnal + burst ambient schedule
     through the transient pipeline.  The per-interval boundary term
     ``G_amb * (T_amb + dT_i)`` must not change the evaluation structure:
-    one ``transient_sequence``, one spectral jump, zero per-epoch
-    ``transient()`` calls — identical counts to an ambient-free run.
+    one ``transient_sequence`` and one spectral jump — identical counts to
+    an ambient-free run.
     """
     spec = get_scenario("ambient-swing-transient")
     assert spec.mode == "transient" and spec.thermal_method == "spectral"
     solver = get_configuration(spec.configuration).thermal_model.solver
     sequences_before = solver.transient_sequence_count
     jumps_before = solver.spectral_jump_count
-    transients_before = solver.transient_count
 
     with perf_utils.timed() as timer:
         result = run_scenario(spec)
 
     assert solver.transient_sequence_count - sequences_before == 1
     assert solver.spectral_jump_count - jumps_before == 1
-    assert solver.transient_count == transients_before
     # The schedule spans ~11 C; the low-passed die must move with it but
     # stay well inside the quasi-static envelope (offset applied instantly).
     swings = [record.thermal.peak_celsius for record in result.experiment.epochs]

@@ -1089,12 +1089,6 @@ class ThermalExperiment:
         # concatenated series: each epoch's peak is the maximum over its
         # sample range (initial instant included, matching the per-epoch
         # reference), and its spatial metrics come from its final instant.
-        if result.interval_ranges is None:
-            raise ValueError(
-                "the thermal model's transient_sequence must populate "
-                "TransientResult.interval_ranges (one (start, stop) sample "
-                "range per epoch) for the batched pipeline"
-            )
         series = thermal_model.unit_series(result)
         starts = np.array([start for start, _stop in result.interval_ranges])
         ends = np.array([stop for _start, stop in result.interval_ranges])

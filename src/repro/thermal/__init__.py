@@ -12,7 +12,7 @@ from .hotspot import HotSpotModel
 from .model import ThermalModel
 from .package import DEFAULT_PACKAGE, KELVIN_OFFSET, ThermalPackage
 from .rc_model import ThermalNetwork, build_thermal_network
-from .solver import TemperatureMap, ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientResult
 
 __all__ = [
     "ThermalModel",
@@ -28,7 +28,6 @@ __all__ = [
     "ThermalPackage",
     "ThermalNetwork",
     "build_thermal_network",
-    "TemperatureMap",
     "ThermalSolver",
     "TransientResult",
 ]

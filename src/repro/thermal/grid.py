@@ -152,12 +152,9 @@ class GridThermalModel:
         self, result: TransientResult, statistic: Literal["peak", "mean"] = "peak"
     ) -> np.ndarray:
         """``(num_units, num_samples)`` per-unit series of a transient result."""
-        cell_series = np.array(
-            [
-                [result.block_celsius[cell] for cell in self._cells_of_block[block_name_for(coord)]]
-                for coord in self.topology.coordinates()
-            ]
-        )
+        # (num_units, cells, num_samples): reducing the middle axis sums the
+        # cells one after another, so the mean keeps its exact rounding.
+        cell_series = result.node_kelvin.T[self.unit_cell_nodes] - KELVIN_OFFSET
         if statistic == "peak":
             return cell_series.max(axis=1)
         return cell_series.mean(axis=1)

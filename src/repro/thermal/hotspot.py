@@ -86,12 +86,7 @@ class HotSpotModel:
 
     def unit_series(self, result: TransientResult) -> np.ndarray:
         """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
-        return np.vstack(
-            [
-                result.block_celsius[block_name_for(coord)]
-                for coord in self.topology.coordinates()
-            ]
-        )
+        return result.node_kelvin[:, self.unit_nodes].T - KELVIN_OFFSET
 
     # ------------------------------------------------------------------
     def transient_sequence(

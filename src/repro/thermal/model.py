@@ -65,10 +65,10 @@ class ThermalModel(Protocol):
         ``G_amb * (T_amb + dT_i)`` makes time-varying ambient exact in
         transient mode, still in one sequenced call.
 
-        The returned result MUST populate
-        :attr:`repro.thermal.solver.TransientResult.interval_ranges` (one
-        ``(start, stop)`` sample range per interval) — the experiment driver
-        reduces per-epoch metrics from those segments.
+        The returned :class:`repro.thermal.solver.TransientResult` carries
+        the node history and one ``(start, stop)`` sample range per interval
+        (``interval_ranges``) — the experiment driver reduces per-epoch
+        metrics from those segments.
         """
         ...
 

@@ -1,11 +1,14 @@
 """Steady-state and transient solvers for the RC thermal network.
 
-* :meth:`ThermalSolver.steady_state` solves ``A T = P + G_amb T_amb`` directly.
-* :meth:`ThermalSolver.transient` integrates ``C dT/dt = P - A T + G_amb T_amb``
+* :meth:`ThermalSolver.steady_state_batch` solves ``A T = P + G_amb T_amb``
+  for many power rows with one multi-RHS solve; :meth:`ThermalSolver.warm_state`
+  is its one-vector form.
+* :meth:`ThermalSolver.transient_sequence` integrates
+  ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
   with an unconditionally stable implicit-Euler scheme.  The step matrix
   ``C/dt + A`` is factorised once per *distinct* time step and cached on the
-  solver, so piecewise-constant traces (:meth:`ThermalSolver.transient_sequence`)
-  and long migration-period sweeps reuse a single factorisation.
+  solver; every step of every interval is one raw LAPACK ``getrs`` call in a
+  single loop that writes into one preallocated node history.
 * ``method="spectral"`` evaluates the *same* implicit-Euler recurrence in
   closed form through the generalized eigendecomposition of ``(A, C)`` and
   jumps directly to the sampled instants, replacing the per-step Python loop
@@ -18,22 +21,23 @@
   path they only move the per-interval fixed points (already one multi-RHS
   solve) and the boundary-jump recurrence — zero extra solves.
 
-Temperatures are handled internally in kelvin; the :class:`TemperatureMap`
-results report degrees Celsius, matching the paper's figures.
+Power and temperature are node-space arrays throughout (watts and kelvin);
+the thermal models index their unit nodes out of a :class:`TransientResult`
+history and report degrees Celsius, matching the paper's figures.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from .package import KELVIN_OFFSET
 from .rc_model import ThermalNetwork
 
 # Registry view of the solver counters: each increment of the per-solver
@@ -43,7 +47,6 @@ from .rc_model import ThermalNetwork
 # registry aggregates across every solver in the process.
 _OBS_STEADY_SOLVES = _obs_counter("thermal.steady_solves")
 _OBS_FACTORIZATIONS = _obs_counter("thermal.step_factorizations")
-_OBS_TRANSIENTS = _obs_counter("thermal.transients")
 _OBS_SEQUENCES = _obs_counter("thermal.transient_sequences")
 _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
 
@@ -56,72 +59,87 @@ MAX_CACHED_PROPAGATORS = 32
 
 
 @dataclass
-class TemperatureMap:
-    """Per-block temperatures (Celsius) at one instant or steady state."""
+class TransientResult:
+    """Node-temperature history of a piecewise-constant transient.
 
-    block_celsius: Dict[str, float]
+    ``node_kelvin`` has one row per sampled instant of ``times_s``.  Power
+    interval ``i`` owns the sample rows ``interval_ranges[i] = (start, stop)``;
+    its first row is the state carried in from the previous interval, so
+    callers reduce per-interval metrics straight from the one array.
+    """
+
+    times_s: np.ndarray
     node_kelvin: np.ndarray
-
-    @property
-    def peak_celsius(self) -> float:
-        return max(self.block_celsius.values())
-
-    @property
-    def min_celsius(self) -> float:
-        return min(self.block_celsius.values())
-
-    @property
-    def mean_celsius(self) -> float:
-        return float(np.mean(list(self.block_celsius.values())))
-
-    @property
-    def spread_celsius(self) -> float:
-        """Peak-to-minimum spatial temperature spread."""
-        return self.peak_celsius - self.min_celsius
-
-    def hottest_block(self) -> str:
-        return max(self.block_celsius, key=self.block_celsius.get)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.block_celsius)
+    final_state_kelvin: np.ndarray
+    interval_ranges: List[Tuple[int, int]]
 
 
 @dataclass
-class TransientResult:
-    """Temperature evolution over a simulated interval."""
+class _IntervalPlan:
+    """Step size, step count and recorded steps of every interval of a trace."""
 
+    time_steps: List[float]
+    steps: List[int]
+    #: Step indices whose post-update state is recorded (the last one always is).
+    recorded: List[np.ndarray]
+    ranges: List[Tuple[int, int]]
     times_s: np.ndarray
-    block_celsius: Dict[str, np.ndarray]
-    final_state_kelvin: np.ndarray
-    #: Sample-row ranges ``[start, stop)`` of each power interval, populated
-    #: by :meth:`ThermalSolver.transient_sequence` so callers can reduce
-    #: per-interval metrics straight from the concatenated arrays.
-    interval_ranges: Optional[List[Tuple[int, int]]] = None
 
     @property
-    def peak_celsius(self) -> float:
-        """Hottest block temperature reached at any sampled instant."""
-        return max(float(np.max(series)) for series in self.block_celsius.values())
+    def shared_time_step(self) -> Optional[float]:
+        """The one time step every interval resolves to, or None."""
+        first = self.time_steps[0]
+        return first if all(dt == first for dt in self.time_steps) else None
 
-    def peak_series(self) -> np.ndarray:
-        """Per-instant maximum over blocks."""
-        stacked = np.vstack(list(self.block_celsius.values()))
-        return stacked.max(axis=0)
 
-    def final_map(self) -> TemperatureMap:
-        return TemperatureMap(
-            block_celsius={
-                name: float(series[-1]) for name, series in self.block_celsius.items()
-            },
-            node_kelvin=self.final_state_kelvin,
-        )
+def _plan_intervals(
+    durations: Sequence[float], time_step_s: Optional[float], record_every: int
+) -> _IntervalPlan:
+    """Resolve each interval's implicit-Euler step and its sample rows.
+
+    The step defaults to ``duration / 200`` bounded to at most 1 ms (which
+    resolves the die-level time constants) and never exceeds the duration.
+    Every ``record_every``-th step is recorded, plus the last one.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    if time_step_s is not None and not time_step_s > 0:
+        raise ValueError("time step must be positive")
+    time_steps: List[float] = []
+    steps: List[int] = []
+    recorded: List[np.ndarray] = []
+    ranges: List[Tuple[int, int]] = []
+    times: List[np.ndarray] = []
+    offset = 0.0
+    row = 0
+    for duration in durations:
+        if not (duration > 0 and np.isfinite(duration)):
+            raise ValueError("duration must be positive and finite")
+        dt = time_step_s if time_step_s is not None else min(duration / 200.0, 1e-3)
+        dt = min(dt, duration)
+        count = max(1, int(round(duration / dt)))
+        kept = np.arange(record_every - 1, count, record_every, dtype=np.int64)
+        if kept.size == 0 or kept[-1] != count - 1:
+            kept = np.append(kept, count - 1)
+        time_steps.append(dt)
+        steps.append(count)
+        recorded.append(kept)
+        ranges.append((row, row + kept.size + 1))
+        row += kept.size + 1
+        times.append(np.concatenate(([0.0], (kept + 1) * dt)) + offset)
+        # Advance by the integrated span (steps * dt), not the nominal
+        # duration: when the duration is not an integer multiple of the
+        # step the two differ, and stamping the next interval's origin at
+        # the nominal duration would let sample times overlap it.
+        offset += count * dt
+    return _IntervalPlan(time_steps, steps, recorded, ranges, np.concatenate(times))
 
 
 def _check_power(power: np.ndarray) -> None:
     """Reject negative or non-finite node power before it reaches LAPACK.
 
     NaN fails every ordering comparison, so a ``min() < 0`` gate alone would
-    let it through to scipy's ``asarray_chkfinite`` deep inside the solve.
+    let it through to the raw ``getrs`` solve.
     """
     if not power.size:
         return
@@ -131,6 +149,21 @@ def _check_power(power: np.ndarray) -> None:
         raise ValueError("non-finite power: every node power must be finite")
     if low < 0:
         raise ValueError("negative power: every node power must be >= 0")
+
+
+def _solve(
+    factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
+    """Solve against an LU factor with one raw LAPACK ``getrs`` call.
+
+    Callers validate their inputs (``getrs`` skips scipy's finiteness
+    check), so only an illegal-argument ``info`` can come back.
+    ``overwrite`` lets a caller's temporary ``rhs`` hold the solution.
+    """
+    solution, info = dgetrs(factor[0], factor[1], rhs, overwrite_b=overwrite)
+    if info:
+        raise ValueError(f"getrs rejected argument {-info}")
+    return solution
 
 
 @dataclass
@@ -143,34 +176,21 @@ class _StepPropagator:
 
 
 class ThermalSolver:
-    """Solves the RC network produced by :func:`build_thermal_network`.
+    """Solves the RC network produced by :func:`build_thermal_network`."""
 
-    Parameters
-    ----------
-    cache_propagators:
-        Keep the LU factorisation of ``C/dt + A`` per distinct time step
-        (the default).  Disable only to reproduce the uncached reference
-        behaviour in benchmarks.
-    """
-
-    def __init__(self, network: ThermalNetwork, cache_propagators: bool = True):
+    def __init__(self, network: ThermalNetwork):
         self.network = network
         self._A = network.system_matrix()
         self._A_factor = lu_factor(self._A)
         self._boundary = network.ambient_conductance * network.ambient_kelvin
-        self.cache_propagators = cache_propagators
         self._step_cache: Dict[float, _StepPropagator] = {}
         #: Number of step-matrix LU factorisations performed (regression
-        #: guard: one per distinct time step when caching is enabled).
+        #: guard: one per distinct time step).
         self.step_factorization_count = 0
         #: Number of solves against the steady-state factorisation.  A
         #: multi-RHS batch counts once, so a fully batched steady experiment
         #: shows exactly one solve (regression guard for the epoch pipeline).
         self.steady_solve_count = 0
-        #: Number of *external* ``transient()`` calls (the per-epoch Python
-        #: round-trip the array-native pipeline retires; intervals stepped
-        #: inside ``transient_sequence`` do not count).
-        self.transient_count = 0
         #: Number of ``transient_sequence()`` calls.
         self.transient_sequence_count = 0
         #: Number of sequences served by the vectorised spectral jump (one
@@ -201,13 +221,12 @@ class ThermalSolver:
     def _private_factor(self, key, factor: Tuple[np.ndarray, np.ndarray]):
         """Per-thread private copy of an LU factorisation.
 
-        LAPACK ``getrs`` via :func:`scipy.linalg.lu_solve` is not reentrant
-        against *shared* ``(lu, piv)`` arrays on every BLAS build: two
-        threads solving concurrently against the same factor memory can
-        return corrupted temperatures, while solves against per-thread
-        copies are exact.  Copies are cached per (thread, key) and refreshed
-        whenever the underlying factor object changes (step-cache eviction
-        rebuilds propagators).
+        LAPACK ``getrs`` is not reentrant against *shared* ``(lu, piv)``
+        arrays on every BLAS build: two threads solving concurrently against
+        the same factor memory can return corrupted temperatures, while
+        solves against per-thread copies are exact.  Copies are cached per
+        (thread, key) and refreshed whenever the underlying factor object
+        changes (step-cache eviction rebuilds propagators).
         """
         store = getattr(self._thread_factors, "store", None)
         if store is None:
@@ -236,11 +255,10 @@ class ThermalSolver:
             self.step_factorization_count += 1
             _OBS_FACTORIZATIONS.add()
             propagator = _StepPropagator(time_step_s, c_over_dt, factor)
-            if self.cache_propagators:
-                if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
-                    # FIFO eviction (dict preserves insertion order).
-                    self._step_cache.pop(next(iter(self._step_cache)))
-                self._step_cache[time_step_s] = propagator
+            if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
+                # FIFO eviction (dict preserves insertion order).
+                self._step_cache.pop(next(iter(self._step_cache)))
+            self._step_cache[time_step_s] = propagator
             return propagator
 
     def _spectral(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,7 +292,7 @@ class ThermalSolver:
         sampled instants come out of one pair of matrix multiplies.
         """
         c_sqrt, eigenvalues, eigenvectors = self._spectral()
-        fixed_point = lu_solve(self._a_factor(), rhs_const)
+        fixed_point = _solve(self._a_factor(), rhs_const)
         weights = eigenvectors.T @ (c_sqrt * (state - fixed_point))
         decay = 1.0 / (1.0 + time_step_s * eigenvalues)
         powers = decay[np.newaxis, :] ** step_counts[:, np.newaxis]
@@ -297,33 +315,39 @@ class ThermalSolver:
             raise ValueError("ambient offsets must be finite")
         return offsets
 
+    def _initial_state_of(
+        self, initial_state, offsets: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Validated starting node state (kelvin), shared by both methods.
+
+        Defaults to ambient everywhere (a cold chip); with ambient offsets
+        the cold start equilibrates at the *first* interval's ambient
+        (``A @ 1 = G_amb``, so that state is uniform).
+        """
+        network = self.network
+        if initial_state is None:
+            ambient = network.ambient_kelvin
+            if offsets is not None:
+                ambient = ambient + offsets[0]
+            return np.full(network.num_nodes, ambient, dtype=float)
+        state = np.array(initial_state, dtype=float)
+        if state.shape != (network.num_nodes,):
+            raise ValueError("initial state has wrong number of nodes")
+        if not np.isfinite(state).all():
+            raise ValueError("non-finite initial state: every node must be finite")
+        return state
+
     # ------------------------------------------------------------------
-    def _power_vector_of(self, block_power_w) -> np.ndarray:
-        """Node-space power vector from a per-block dict or a node vector."""
-        if isinstance(block_power_w, dict):
-            power = self.network.power_vector(block_power_w)
-        else:
-            power = np.asarray(block_power_w, dtype=float)
-            if power.shape != (self.network.num_nodes,):
-                raise ValueError(
-                    f"expected a node power vector of {self.network.num_nodes} "
-                    f"entries, got shape {power.shape}"
-                )
+    def _power_vector_of(self, power) -> np.ndarray:
+        """Validated node-space power vector."""
+        power = np.asarray(power, dtype=float)
+        if power.shape != (self.network.num_nodes,):
+            raise ValueError(
+                f"expected a node power vector of {self.network.num_nodes} "
+                f"entries, got shape {power.shape}"
+            )
         _check_power(power)
         return power
-
-    # ------------------------------------------------------------------
-    def steady_state(self, block_power_w) -> TemperatureMap:
-        """Steady-state temperatures for a constant power assignment.
-
-        ``block_power_w`` is a per-block dict or a node-space power vector.
-        """
-        power = self._power_vector_of(block_power_w)
-        rhs = power + self._boundary
-        self.steady_solve_count += 1
-        _OBS_STEADY_SOLVES.add()
-        temps_kelvin = lu_solve(self._a_factor(), rhs)
-        return self._to_map(temps_kelvin)
 
     def steady_state_batch(self, node_power_matrix: np.ndarray) -> np.ndarray:
         """Steady-state node temperatures for many power vectors at once.
@@ -343,134 +367,12 @@ class ThermalSolver:
         self.steady_solve_count += 1
         _OBS_STEADY_SOLVES.add()
         with _obs_span("thermal.steady_batch", rows=int(power.shape[0])):
-            return lu_solve(self._a_factor(), rhs.T).T
-
-    # ------------------------------------------------------------------
-    def transient(
-        self,
-        block_power_w,
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offset_kelvin: float = 0.0,
-    ) -> TransientResult:
-        """Integrate the network under constant power for ``duration_s``.
-
-        Parameters
-        ----------
-        block_power_w:
-            Per-block power dict, or a node-space power vector.
-        initial_state:
-            Node temperatures in kelvin to start from; defaults to ambient
-            everywhere (a cold chip).
-        time_step_s:
-            Implicit-Euler step; defaults to ``duration_s / 200`` bounded to
-            at most 1 ms, which resolves the die-level time constants.
-        record_every:
-            Store every k-th step in the result (the final step is always
-            recorded).
-        method:
-            ``"euler"`` steps the cached LU factorisation; ``"spectral"``
-            evaluates the same recurrence through the eigenbasis, jumping
-            straight to the recorded instants (identical trajectory up to
-            floating-point roundoff, no per-step loop).
-        ambient_offset_kelvin:
-            Shift of the ambient boundary temperature for this interval; the
-            forcing is affine, so the RHS gains ``G_amb * offset`` and the
-            trajectory is exactly the one a network rebuilt at the shifted
-            ambient would produce.
-        """
-        self.transient_count += 1
-        _OBS_TRANSIENTS.add()
-        return self._transient(
-            block_power_w,
-            duration_s,
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            record_every=record_every,
-            method=method,
-            ambient_offset_kelvin=ambient_offset_kelvin,
-        )
-
-    def _transient(
-        self,
-        block_power_w,
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offset_kelvin: float = 0.0,
-    ) -> TransientResult:
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if method not in TRANSIENT_METHODS:
-            raise ValueError(f"method must be one of {TRANSIENT_METHODS}")
-        network = self.network
-        power = self._power_vector_of(block_power_w)
-        rhs_const = power + self._boundary
-        if ambient_offset_kelvin:
-            rhs_const = rhs_const + ambient_offset_kelvin * network.ambient_conductance
-
-        if initial_state is None:
-            state = np.full(network.num_nodes, network.ambient_kelvin, dtype=float)
-        else:
-            state = np.asarray(initial_state, dtype=float).copy()
-            if state.shape != (network.num_nodes,):
-                raise ValueError("initial state has wrong number of nodes")
-
-        if time_step_s is None:
-            time_step_s = min(duration_s / 200.0, 1e-3)
-        time_step_s = min(time_step_s, duration_s)
-
-        steps = max(1, int(round(duration_s / time_step_s)))
-        # Steps whose post-update state is recorded (the last one always is).
-        recorded = np.arange(record_every - 1, steps, record_every, dtype=np.int64)
-        if recorded.size == 0 or recorded[-1] != steps - 1:
-            recorded = np.append(recorded, steps - 1)
-        times = np.concatenate(([0.0], (recorded + 1) * time_step_s))
-        history = np.empty((recorded.size + 1, network.num_nodes))
-        history[0] = state
-
-        if method == "spectral":
-            history[1:] = self._spectral_samples(
-                state, rhs_const, time_step_s, recorded + 1
-            )
-            state = history[-1].copy()
-        else:
-            # Implicit Euler: (C/dt + A) T_{k+1} = C/dt T_k + P
-            propagator = self._step_propagator(time_step_s)
-            factor = self._private_factor(
-                ("step", propagator.time_step_s), propagator.factor
-            )
-            record_mask = np.zeros(steps, dtype=bool)
-            record_mask[recorded] = True
-            row = 1
-            for k in range(steps):
-                rhs = propagator.c_over_dt * state + rhs_const
-                state = lu_solve(factor, rhs)
-                if record_mask[k]:
-                    history[row] = state
-                    row += 1
-
-        block_series = {
-            name: history[:, idx] - KELVIN_OFFSET
-            for name, idx in network.block_node_index.items()
-        }
-        return TransientResult(
-            times_s=times,
-            block_celsius=block_series,
-            final_state_kelvin=state,
-        )
+            return _solve(self._a_factor(), rhs.T).T
 
     # ------------------------------------------------------------------
     def transient_sequence(
         self,
-        intervals: List[Tuple[float, Dict[str, float]]],
+        intervals: List[Tuple[float, np.ndarray]],
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
         record_every: int = 1,
@@ -479,32 +381,44 @@ class ThermalSolver:
     ) -> TransientResult:
         """Integrate a piecewise-constant power trace.
 
-        ``intervals`` is a list of (duration, power) pairs where each power is
-        a per-block dict or a node-space vector — exactly the shape of a
-        :class:`repro.power.trace.PowerTrace`.  All intervals sharing a time
-        step reuse one cached factorisation (``"euler"``) or one
-        eigendecomposition (``"spectral"``); thermal state is carried across
-        interval boundaries.  The result's :attr:`TransientResult.interval_ranges`
-        records each interval's sample-row range so per-interval metrics can
-        be reduced from the concatenated series without re-integrating.
+        ``intervals`` is a list of (duration, node power vector) pairs — the
+        shape :func:`repro.thermal.model.as_solver_intervals` scatters a
+        :class:`repro.power.trace.PowerTrace` into.  Thermal state is carried
+        across interval boundaries, and the result is one ``(samples, nodes)``
+        kelvin history whose :attr:`TransientResult.interval_ranges` record
+        each interval's sample rows.
 
-        ``ambient_offsets_kelvin`` (optional, one entry per interval) shifts
-        the ambient boundary temperature per interval: interval ``i`` is
-        integrated against the RHS ``P_i + G_amb * (T_amb + dT_i)``, exactly
-        the trajectory a network rebuilt at the shifted ambient would produce
-        — time-varying ambient is exact, not quasi-static.  When no initial
-        state is given, the cold start equilibrates at the *first* interval's
-        ambient (``A @ 1 = G_amb``, so that state is uniform).
+        Parameters
+        ----------
+        initial_state:
+            Node temperatures in kelvin to start from; defaults to ambient
+            everywhere (a cold chip).  It must be finite.
+        time_step_s:
+            Implicit-Euler step; defaults per interval to ``duration / 200``
+            bounded to at most 1 ms.
+        record_every:
+            Store every k-th step of each interval (its final step is always
+            recorded).
+        method:
+            ``"euler"`` steps the cached LU factorisation of every distinct
+            time step with one raw ``getrs`` call per step; ``"spectral"``
+            evaluates the same recurrence through the eigenbasis, jumping
+            straight to the recorded instants (identical trajectory up to
+            floating-point roundoff, no per-step loop).
+        ambient_offsets_kelvin:
+            Optional, one entry per interval: shifts the ambient boundary
+            temperature per interval.  Interval ``i`` is integrated against
+            the RHS ``P_i + G_amb * (T_amb + dT_i)``, exactly the trajectory
+            a network rebuilt at the shifted ambient would produce —
+            time-varying ambient is exact, not quasi-static.
 
         With ``method="spectral"`` and every interval resolving to the same
         time step (the migration-epoch case: equal durations, one dt), the
         whole trace is evaluated through **one** eigenbasis transform: the
         per-interval weight projections collapse into a propagation of the
         modal coordinates across interval boundaries plus a single matrix
-        multiply over all sampled instants — identical trajectory to the
-        per-interval path up to floating-point roundoff.  Ambient offsets
-        ride that path for free: they only move the per-interval fixed points
-        (already one multi-RHS solve) and the boundary-jump recurrence.
+        multiply over all sampled instants.  Mixed time steps fall back to
+        one eigenbasis projection per interval.
         """
         if not intervals:
             raise ValueError("at least one interval is required")
@@ -524,83 +438,98 @@ class ThermalSolver:
 
     def _transient_sequence(
         self,
-        intervals: List[Tuple[float, Dict[str, float]]],
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offsets_kelvin=None,
-    ) -> TransientResult:
-        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, len(intervals))
-        if offsets is not None and initial_state is None:
-            initial_state = np.full(
-                self.network.num_nodes, self.network.ambient_kelvin + offsets[0]
-            )
-        if method == "spectral":
-            jumped = self._spectral_sequence_jump(
-                intervals,
-                initial_state=initial_state,
-                time_step_s=time_step_s,
-                record_every=record_every,
-                ambient_offsets=offsets,
-            )
-            if jumped is not None:
-                return jumped
-        state = initial_state
-        all_times: List[np.ndarray] = []
-        series: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.network.block_node_index
-        }
-        offset = 0.0
-        row_offset = 0
-        ranges: List[Tuple[int, int]] = []
-        for index, (duration, power) in enumerate(intervals):
-            result = self._transient(
-                power,
-                duration,
-                initial_state=state,
-                time_step_s=time_step_s,
-                record_every=record_every,
-                method=method,
-                ambient_offset_kelvin=float(offsets[index]) if offsets is not None else 0.0,
-            )
-            state = result.final_state_kelvin
-            all_times.append(result.times_s + offset)
-            # Advance by the integrated span (steps * dt), not the nominal
-            # duration: when the duration is not an integer multiple of the
-            # step the two differ, and stamping the next interval's origin at
-            # the nominal duration would let sample times overlap it.
-            offset += result.times_s[-1]
-            num_rows = result.times_s.size
-            ranges.append((row_offset, row_offset + num_rows))
-            row_offset += num_rows
-            for name, values in result.block_celsius.items():
-                series[name].append(values)
-        times = np.concatenate(all_times)
-        block_series = {name: np.concatenate(chunks) for name, chunks in series.items()}
-        return TransientResult(
-            times_s=times,
-            block_celsius=block_series,
-            final_state_kelvin=state,
-            interval_ranges=ranges,
-        )
-
-    # ------------------------------------------------------------------
-    def _spectral_sequence_jump(
-        self,
-        intervals: List[Tuple[float, Dict[str, float]]],
+        intervals: List[Tuple[float, np.ndarray]],
         initial_state: Optional[np.ndarray],
         time_step_s: Optional[float],
         record_every: int,
-        ambient_offsets: Optional[np.ndarray] = None,
-    ) -> Optional[TransientResult]:
+        method: str,
+        ambient_offsets_kelvin,
+    ) -> TransientResult:
+        if method not in TRANSIENT_METHODS:
+            raise ValueError(f"method must be one of {TRANSIENT_METHODS}")
+        network = self.network
+        plan = _plan_intervals(
+            [duration for duration, _power in intervals], time_step_s, record_every
+        )
+        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, len(intervals))
+        rhs = np.vstack([self._power_vector_of(power) for _duration, power in intervals])
+        rhs += self._boundary[np.newaxis, :]
+        if offsets is not None:
+            # The affine ambient boundary term: each interval's RHS becomes
+            # P_i + G_amb (T_amb + dT_i).
+            rhs += offsets[:, np.newaxis] * network.ambient_conductance[np.newaxis, :]
+        state = self._initial_state_of(initial_state, offsets)
+
+        history = np.empty((plan.ranges[-1][1], network.num_nodes))
+        if method == "spectral" and plan.shared_time_step is not None:
+            self._spectral_jump(history, state, rhs, plan)
+        else:
+            for index, (start, stop) in enumerate(plan.ranges):
+                history[start] = state
+                dt = plan.time_steps[index]
+                if method == "spectral":
+                    history[start + 1 : stop] = self._spectral_samples(
+                        state, rhs[index], dt, plan.recorded[index] + 1
+                    )
+                else:
+                    self._euler_steps(
+                        history[start + 1 : stop],
+                        state,
+                        rhs[index],
+                        dt,
+                        plan.steps[index],
+                        plan.recorded[index],
+                    )
+                state = history[stop - 1]
+        if not np.isfinite(history).all():
+            raise ValueError("non-finite temperatures in the transient history")
+        return TransientResult(
+            times_s=plan.times_s,
+            node_kelvin=history,
+            final_state_kelvin=history[-1].copy(),
+            interval_ranges=plan.ranges,
+        )
+
+    def _euler_steps(
+        self,
+        out: np.ndarray,
+        state: np.ndarray,
+        rhs_const: np.ndarray,
+        time_step_s: float,
+        steps: int,
+        recorded: np.ndarray,
+    ) -> None:
+        """``steps`` implicit-Euler updates ``(C/dt + A) T_{k+1} = C/dt T_k + P``.
+
+        Each update is one raw ``getrs`` call on this thread's private copy
+        of the cached step factor; the recorded states land in ``out``.
+        """
+        propagator = self._step_propagator(time_step_s)
+        factor = self._private_factor(("step", time_step_s), propagator.factor)
+        c_over_dt = propagator.c_over_dt
+        record = np.zeros(steps, dtype=bool)
+        record[recorded] = True
+        row = 0
+        for k in range(steps):
+            state = _solve(factor, c_over_dt * state + rhs_const, overwrite=True)
+            if record[k]:
+                out[row] = state
+                row += 1
+
+    # ------------------------------------------------------------------
+    def _spectral_jump(
+        self,
+        history: np.ndarray,
+        state: np.ndarray,
+        rhs: np.ndarray,
+        plan: _IntervalPlan,
+    ) -> None:
         """Whole-trace spectral evaluation when every interval shares one dt.
 
-        Returns None when the intervals resolve to different time steps (the
-        caller then falls back to the per-interval loop).  Otherwise the
-        implicit-Euler trajectory of the whole piecewise-constant trace is
-        produced from a single eigendecomposition: the modal coordinates
-        ``z_i`` of the deviation from each interval's fixed point obey
+        Fills ``history`` with the implicit-Euler trajectory of the whole
+        piecewise-constant trace from a single eigendecomposition: the modal
+        coordinates ``z_i`` of the deviation from each interval's fixed
+        point obey
 
         ``z_{i+1} = mu^{n_i} z_i + U^T C^{1/2} (T*_i - T*_{i+1})``
 
@@ -609,55 +538,18 @@ class ThermalSolver:
         propagates the modal state across interval boundaries, and one matrix
         multiply evaluates every recorded instant of every interval.
 
-        Per-interval ambient offsets are affine in the RHS, so they fold into
-        the fixed points (``T*_i`` solves ``P_i + G_amb (T_amb + dT_i)``) and
-        flow through the same recurrence — no extra solves.
+        Per-interval ambient offsets are already folded into ``rhs``, so they
+        only move the fixed points and flow through the same recurrence.
         """
-        if record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        network = self.network
-
-        steps_list = []
-        recorded_list = []
-        shared_dt: Optional[float] = None
-        for duration, _power in intervals:
-            if duration <= 0:
-                raise ValueError("duration must be positive")
-            dt = time_step_s if time_step_s is not None else min(duration / 200.0, 1e-3)
-            dt = min(dt, duration)
-            if shared_dt is None:
-                shared_dt = dt
-            elif dt != shared_dt:
-                return None
-            steps = max(1, int(round(duration / dt)))
-            recorded = np.arange(record_every - 1, steps, record_every, dtype=np.int64)
-            if recorded.size == 0 or recorded[-1] != steps - 1:
-                recorded = np.append(recorded, steps - 1)
-            steps_list.append(steps)
-            recorded_list.append(recorded)
-        assert shared_dt is not None
         self.spectral_jump_count += 1
         _OBS_SPECTRAL_JUMPS.add()
-
-        powers = np.vstack([self._power_vector_of(power) for _dur, power in intervals])
-        rhs = powers + self._boundary[np.newaxis, :]
-        if ambient_offsets is not None:
-            # The affine ambient boundary term: each interval's RHS becomes
-            # P_i + G_amb (T_amb + dT_i).  Same single multi-RHS solve.
-            rhs = rhs + ambient_offsets[:, np.newaxis] * network.ambient_conductance[np.newaxis, :]
-        fixed_points = lu_solve(self._a_factor(), rhs.T).T  # (num_intervals, n)
-
-        if initial_state is None:
-            state = np.full(network.num_nodes, network.ambient_kelvin, dtype=float)
-        else:
-            state = np.asarray(initial_state, dtype=float).copy()
-            if state.shape != (network.num_nodes,):
-                raise ValueError("initial state has wrong number of nodes")
+        num_nodes = self.network.num_nodes
+        fixed_points = _solve(self._a_factor(), rhs.T).T  # (num_intervals, n)
 
         c_sqrt, eigenvalues, eigenvectors = self._spectral()
-        decay = 1.0 / (1.0 + shared_dt * eigenvalues)
-        num_intervals = len(intervals)
-        steps_arr = np.asarray(steps_list, dtype=np.int64)
+        decay = 1.0 / (1.0 + plan.shared_time_step * eigenvalues)
+        num_intervals = len(plan.steps)
+        steps_arr = np.asarray(plan.steps, dtype=np.int64)
         # Modal decay over each interval's full step count, and the modal
         # jumps induced by the fixed point changing at each boundary.
         interval_decay = decay[np.newaxis, :] ** steps_arr[:, np.newaxis]
@@ -665,7 +557,7 @@ class ThermalSolver:
             boundary_jumps = (
                 (fixed_points[:-1] - fixed_points[1:]) * c_sqrt[np.newaxis, :]
             ) @ eigenvectors
-        z_starts = np.empty((num_intervals, network.num_nodes))
+        z_starts = np.empty((num_intervals, num_nodes))
         z = eigenvectors.T @ (c_sqrt * (state - fixed_points[0]))
         for index in range(num_intervals):
             z_starts[index] = z
@@ -676,81 +568,40 @@ class ThermalSolver:
         # Equal-duration traces (the migration-epoch case) share one recorded
         # step structure, so the modal decay powers are computed once and
         # broadcast across intervals instead of materialised per sample row.
-        counts = np.array([recorded.size for recorded in recorded_list])
-        first = recorded_list[0]
-        uniform = all(
-            np.array_equal(recorded, first) for recorded in recorded_list[1:]
-        )
-        if uniform:
+        counts = np.array([recorded.size for recorded in plan.recorded])
+        first = plan.recorded[0]
+        if all(np.array_equal(recorded, first) for recorded in plan.recorded[1:]):
             base_pow = decay[np.newaxis, :] ** (first + 1)[:, np.newaxis]
             modal = base_pow[np.newaxis, :, :] * z_starts[:, np.newaxis, :]
         else:
-            step_numbers = np.concatenate(recorded_list) + 1
+            step_numbers = np.concatenate(plan.recorded) + 1
             modal = (
                 decay[np.newaxis, :] ** step_numbers[:, np.newaxis]
             ) * np.repeat(z_starts, counts, axis=0)
-        recorded_temps = np.repeat(fixed_points, counts, axis=0) + (
-            modal.reshape(-1, network.num_nodes) @ eigenvectors.T
+        # Each interval's t=0 row is the carried state — exactly the previous
+        # interval's final sample — and its recorded rows follow.
+        starts = np.array([start for start, _stop in plan.ranges])
+        sampled = np.ones(history.shape[0], dtype=bool)
+        sampled[starts] = False
+        history[sampled] = np.repeat(fixed_points, counts, axis=0) + (
+            modal.reshape(-1, num_nodes) @ eigenvectors.T
         ) / c_sqrt[np.newaxis, :]
-
-        # Assemble per-interval blocks: the interval's t=0 row is the carried
-        # state (exactly the previous interval's final sample), then its
-        # recorded rows — the same layout the per-interval loop produces.
-        total_rows = int(counts.sum()) + num_intervals
-        history = np.empty((total_rows, network.num_nodes))
-        all_times: List[np.ndarray] = []
-        ranges: List[Tuple[int, int]] = []
-        offset = 0.0
-        row = 0
-        sample_row = 0
-        for index in range(num_intervals):
-            block = recorded_temps[sample_row : sample_row + counts[index]]
-            history[row] = state
-            history[row + 1 : row + 1 + counts[index]] = block
-            state = block[-1]
-            times = np.concatenate(
-                ([0.0], (recorded_list[index] + 1) * shared_dt)
-            )
-            all_times.append(times + offset)
-            # Match the per-interval path: the next interval starts where the
-            # integrated samples end (steps * dt), not at the nominal
-            # duration, so sample times never overlap the next origin.
-            offset += steps_list[index] * shared_dt
-            ranges.append((row, row + counts[index] + 1))
-            row += counts[index] + 1
-            sample_row += counts[index]
-
-        block_series = {
-            name: history[:, idx] - KELVIN_OFFSET
-            for name, idx in network.block_node_index.items()
-        }
-        return TransientResult(
-            times_s=np.concatenate(all_times),
-            block_celsius=block_series,
-            final_state_kelvin=state.copy(),
-            interval_ranges=ranges,
-        )
+        history[0] = state
+        history[starts[1:]] = history[starts[1:] - 1]
 
     # ------------------------------------------------------------------
-    def warm_state(self, block_power_w, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
-        """Node state (kelvin) corresponding to steady state under a power map.
+    def warm_state(self, power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+        """Node state (kelvin) corresponding to steady state under a power vector.
 
         Useful as the initial condition of transient runs so experiments do
-        not spend simulated seconds heating a cold chip.  Accepts a per-block
-        dict or a node-space power vector; ``ambient_offset_kelvin`` shifts
-        the ambient boundary (e.g. to warm-start an ambient-scheduled
-        transient at the first interval's ambient).
+        not spend simulated seconds heating a cold chip.  ``power`` is a
+        node-space power vector; ``ambient_offset_kelvin`` shifts the ambient
+        boundary (e.g. to warm-start an ambient-scheduled transient at the
+        first interval's ambient).
         """
-        power = self._power_vector_of(block_power_w)
+        power = self._power_vector_of(power)
         rhs = power + self._boundary
         if ambient_offset_kelvin:
             rhs = rhs + ambient_offset_kelvin * self.network.ambient_conductance
         self.steady_solve_count += 1
-        return lu_solve(self._a_factor(), rhs)
-
-    def _to_map(self, temps_kelvin: np.ndarray) -> TemperatureMap:
-        block_celsius = {
-            name: float(temps_kelvin[idx]) - KELVIN_OFFSET
-            for name, idx in self.network.block_node_index.items()
-        }
-        return TemperatureMap(block_celsius=block_celsius, node_kelvin=temps_kelvin)
+        return _solve(self._a_factor(), rhs)

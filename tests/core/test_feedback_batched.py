@@ -3,8 +3,8 @@
 Before the :class:`repro.core.experiment.FeedbackPlan`, threshold/adaptive
 policies cost one dict-round-tripped steady solve per epoch plus a
 standalone probe of the static pre-experiment power.  The reference
-implementations below replicate that seed loop verbatim on the solver's
-block-name API (``tests/block_oracle.py``); the batched pipeline must
+implementations below replicate that seed loop verbatim on the block-name
+reference solver (``tests/block_oracle.py``); the batched pipeline must
 reproduce its trajectories —
 decisions, migrations and thermal metrics — to <1e-9 at ``k=1`` across
 threshold + adaptive policies, steady + transient modes, and the
@@ -142,7 +142,7 @@ def reference_transient_feedback(chip, policy, settings, model):
             method=settings.thermal_method,
         )
         state = result.final_state_kelvin
-        series = model.unit_series(result)
+        series = block_oracle.unit_series(model, result)
         final = block_oracle.as_map(chip.topology, series[:, -1])
         peak_by_epoch.append(float(series.max()))
         per_epoch.append(block_oracle.metrics(chip.topology, final))
@@ -320,14 +320,12 @@ class TestSolveCounts:
             feedback_stride=stride,
         )
         steady_before = solver.steady_solve_count
-        transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
         ThermalExperiment(chip, _threshold(chip), settings=settings).run()
         chunks = -(-EPOCHS // stride)
         # Feedback chunks + baseline + warm start; still exactly one
-        # sequenced integration and zero per-epoch transient() round-trips.
+        # sequenced integration.
         assert solver.steady_solve_count - steady_before == chunks + 2
-        assert solver.transient_count == transients_before
         assert solver.transient_sequence_count - sequences_before == 1
 
     def test_probe_rides_the_batch_not_the_dict_path(self, monkeypatch):
@@ -335,7 +333,7 @@ class TestSolveCounts:
         chip = get_configuration("A")
         monkeypatch.setattr(
             chip.thermal_model.solver,
-            "steady_state",
+            "warm_state",
             lambda *_a, **_k: pytest.fail(
                 "feedback took a per-map solve; the probe and every "
                 "refresh must ride the batched steady_temperatures call"

@@ -46,23 +46,25 @@ class TestThermalSolver:
     def solver(self, mesh4):
         return ThermalSolver(build_thermal_network(mesh_floorplan(mesh4)))
 
-    def _power(self, mesh4):
-        return {f"PE_{x}_{y}": 0.5 for (x, y) in mesh4.coordinates()}
+    def _power(self, solver, mesh4):
+        block_power = {f"PE_{x}_{y}": 0.5 for (x, y) in mesh4.coordinates()}
+        return solver.network.power_vector(block_power)
 
     def test_instance_counters_work_with_telemetry_disabled(self, solver, mesh4):
-        solver.steady_state(self._power(mesh4))
+        solver.steady_state_batch(self._power(solver, mesh4)[np.newaxis, :])
         assert solver.steady_solve_count == 1
         assert obs.get_registry().snapshot().empty
 
     def test_registry_mirrors_instance_counters(self, enabled, solver, mesh4):
-        solver.steady_state(self._power(mesh4))
-        solver.transient(self._power(mesh4), duration_s=1e-5, time_step_s=1e-6)
+        power = self._power(solver, mesh4)
+        solver.steady_state_batch(power[np.newaxis, :])
+        solver.transient_sequence([(1e-5, power)], time_step_s=1e-6)
         snapshot = obs.get_registry().snapshot()
         assert snapshot.counters["thermal.steady_solves"] == 1
-        assert snapshot.counters["thermal.transients"] == 1
+        assert snapshot.counters["thermal.transient_sequences"] == 1
         assert snapshot.counters["thermal.step_factorizations"] >= 1
         assert solver.steady_solve_count == 1
-        assert solver.transient_count == 1
+        assert solver.transient_sequence_count == 1
 
 
 class TestLdpcDecoders:

@@ -65,9 +65,9 @@ class TestEnergyConservation:
         block_power = {
             f"PE_{x}_{y}": values[_MESH.node_id((x, y))] for (x, y) in _MESH.coordinates()
         }
-        temps = solver.steady_state(block_power)
+        temps = solver.warm_state(network.power_vector(block_power))
         sink_index = network.num_nodes - 1
-        sink_kelvin = temps.node_kelvin[sink_index]
+        sink_kelvin = temps[sink_index]
         conduction = network.ambient_conductance[sink_index] * (
             sink_kelvin - network.ambient_kelvin
         )

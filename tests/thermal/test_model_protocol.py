@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.chips import get_configuration
 from repro.noc.topology import MeshTopology
 from repro.power.trace import PowerTrace
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
-from repro.thermal.model import ThermalModel
+from repro.thermal.model import ThermalModel, as_solver_intervals
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import block_oracle  # noqa: E402
@@ -107,8 +108,8 @@ class TestSteadyBatch:
 class TestSequencedTransient:
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
     def test_trace_equals_dict_intervals(self, model_fixture, mesh, request):
-        """The PowerTrace scatter and the solver's block-name intervals agree
-        exactly."""
+        """The PowerTrace scatter and the block-name reference's dict
+        intervals agree exactly."""
         model = request.getfixturevalue(model_fixture)
         trace = _trace(mesh)
         state = model.warm_state(trace.powers.mean(axis=0))
@@ -120,14 +121,13 @@ class TestSequencedTransient:
             (float(duration), block_oracle.block_power(model, power))
             for duration, power in zip(trace.durations, maps)
         ]
-        from_dicts = model.solver.transient_sequence(
+        from_dicts = block_oracle.oracle(model).transient_sequence(
             block_intervals, initial_state=state, time_step_s=2e-4
         )
         assert from_trace.interval_ranges == from_dicts.interval_ranges
-        for name in from_trace.block_celsius:
-            assert np.array_equal(
-                from_trace.block_celsius[name], from_dicts.block_celsius[name]
-            )
+        assert np.array_equal(
+            model.unit_series(from_trace), block_oracle.unit_series(model, from_dicts)
+        )
 
     def test_grid_propagator_cache_single_factorisation(self, mesh):
         """The grid model inherits the propagator cache: one factorisation
@@ -152,10 +152,7 @@ class TestSequencedTransient:
         spectral = model.transient_sequence(
             trace, initial_state=state, time_step_s=2e-4, method="spectral"
         )
-        for name in euler.block_celsius:
-            assert np.allclose(
-                euler.block_celsius[name], spectral.block_celsius[name], atol=1e-9
-            )
+        assert np.allclose(euler.node_kelvin, spectral.node_kelvin, atol=1e-9)
 
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
     def test_interval_ranges_partition_samples(self, model_fixture, mesh, request):
@@ -185,3 +182,90 @@ class TestSequencedTransient:
 
     def test_grid_time_constant_positive(self, grid_model):
         assert grid_model.thermal_time_constant_s() > 0
+
+
+# ----------------------------------------------------------------------
+# Exact unit-series parity with the block-name reference
+# ----------------------------------------------------------------------
+_GRIDS = {}
+
+
+def _models_of(chip_name):
+    chip = get_configuration(chip_name)
+    if chip_name not in _GRIDS:
+        _GRIDS[chip_name] = GridThermalModel(chip.topology, resolution=3)
+    return chip, {"block": chip.thermal_model, "grid": _GRIDS[chip_name]}
+
+
+def _case(topology, case):
+    """(trace, time step, ambient offsets) of one parity case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    rows = rng.uniform(0.5, 3.0, size=(6, topology.num_nodes))
+    if case == "mixed":
+        durations = np.array([1e-3, 2e-3, 7e-4, 1.5e-3, 3e-4, 1e-3])
+        time_step = None  # each duration resolves its own default step
+    else:
+        durations = np.full(6, 109e-6)
+        time_step = 109e-6 / 8
+    offsets = np.array([0.0, 2.5, -1.0, 4.0, 0.0, 1.25]) if case == "offsets" else None
+    return PowerTrace.from_arrays(topology, durations, rows), time_step, offsets
+
+
+@pytest.mark.parametrize("method", ["euler", "spectral"])
+@pytest.mark.parametrize("case", ["shared", "offsets", "mixed"])
+@pytest.mark.parametrize("chip_name", ["A", "B", "C", "D", "E"])
+class TestExactUnitSeriesParity:
+    """``unit_series`` indexes the node history bit for bit like the seed.
+
+    The seed models stacked per-block Celsius dicts by block name (a grid
+    unit: ``(units, cells, samples)`` reduced over the cell axis).  The
+    node-history indexing must reproduce that stack exactly — ``==``, not a
+    tolerance — on every chip, for a shared step, a shared step with
+    per-interval ambient offsets, and mixed durations at the default step.
+    Euler and the mixed-step spectral fallback also match the independent
+    ``lu_solve`` reference exactly; the whole-trace spectral jump matches
+    it to 1e-9.
+    """
+
+    def test_matches_block_dict_stack(self, chip_name, case, method):
+        chip, models = _models_of(chip_name)
+        trace, time_step, offsets = _case(chip.topology, case)
+        for kind, model in models.items():
+            start_offset = float(offsets[0]) if offsets is not None else 0.0
+            warm = model.warm_state(
+                trace.powers.mean(axis=0), ambient_offset_kelvin=start_offset
+            )
+            result = model.transient_sequence(
+                trace,
+                initial_state=warm,
+                time_step_s=time_step,
+                method=method,
+                ambient_offsets_kelvin=offsets,
+            )
+            reference = block_oracle.oracle(model).transient_sequence(
+                as_solver_intervals(model, trace),
+                initial_state=warm,
+                time_step_s=time_step,
+                method=method,
+                ambient_offsets_kelvin=offsets,
+            )
+            assert result.interval_ranges == reference.interval_ranges
+            assert np.array_equal(result.times_s, reference.times_s)
+            view = block_oracle.block_view(model.network, result)
+            jumped = method == "spectral" and case != "mixed"
+            statistics = ["peak", "mean"] if kind == "grid" else ["peak"]
+            for statistic in statistics:
+                kwargs = {"statistic": statistic} if kind == "grid" else {}
+                series = model.unit_series(result, **kwargs)
+                assert np.array_equal(
+                    series, block_oracle.unit_series(model, view, statistic)
+                )
+                expected = block_oracle.unit_series(model, reference, statistic)
+                if jumped:
+                    assert np.allclose(series, expected, atol=1e-9)
+                else:
+                    assert np.array_equal(series, expected)
+            if not jumped:
+                assert np.array_equal(
+                    result.final_state_kelvin, reference.final_state_kelvin
+                )
