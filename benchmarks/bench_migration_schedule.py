@@ -27,8 +27,8 @@ def test_phased_vs_naive_schedule(benchmark, chip_e):
         out = {}
         for scheme in FIGURE1_SCHEMES:
             transform = make_transform(scheme, chip_e.topology)
-            moves = scheduler.moves_for_transform(transform, nodes)
-            out[scheme] = (scheduler.schedule(moves), scheduler.naive_cycles(moves))
+            schedule = scheduler.schedule_for_transform(transform, nodes)
+            out[scheme] = (schedule, schedule.serialised_cycles)
         return out
 
     schedules = benchmark(build_schedules)

@@ -18,7 +18,7 @@ view is built only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping as MappingType, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..migration.plan import (
 )
 from ..migration.transforms import MigrationTransform
 from ..migration.unit import MigrationUnit
-from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..placement.mapping import Mapping
@@ -72,14 +71,13 @@ class StageCost:
     """Per-epoch cost of one executed plan stage.
 
     ``cycles`` is the stage's transfer time, congestion-inflated when its
-    plan pays NoC congestion; ``total_energy_j`` / ``energy_per_unit_j`` /
-    ``energy_vector`` are the stage's migration energy (charged to the
-    epoch unless the controller excludes migration energy).
+    plan pays NoC congestion; ``total_energy_j`` / ``energy_vector`` are the
+    stage's migration energy (charged to the epoch unless the controller
+    excludes migration energy).
     """
 
     cycles: int
     total_energy_j: float
-    energy_per_unit_j: MappingType[Coordinate, float]
     transform_name: str
     stage_index: int
     stage_count: int
@@ -120,15 +118,14 @@ def _compile_plan(
             _Stage(
                 step=step,
                 permutation=permutation,
-                moved=int(np.count_nonzero(step != np.arange(step.size))),
+                moved=stage.moved,
                 cost=StageCost(
                     cycles=stage.cycles,
                     total_energy_j=stage.energy_j,
-                    energy_per_unit_j=stage.energy_per_unit_j,
                     transform_name=plan.transform_name,
                     stage_index=index,
                     stage_count=count,
-                    energy_vector=_frozen(stage.energy_vector(topology)),
+                    energy_vector=stage.energy_vector,
                 ),
                 label=(
                     plan.transform_name
@@ -175,10 +172,15 @@ class RuntimeReconfigurationController:
         )
         self.include_migration_energy = include_migration_energy
 
+        tasks = range(self.topology.num_nodes)
         per_task_power = configuration.per_task_power()
         self._task_power = np.array(
-            [per_task_power[task] for task in range(self.topology.num_nodes)],
-            dtype=np.float64,
+            [per_task_power[task] for task in tasks], dtype=np.float64
+        )
+        tanner_nodes = configuration.tanner_nodes_per_task()
+        #: task -> payload flits of its migration state.
+        self._task_flits = self.migration_unit.state_model.payload_flits_per_node(
+            [tanner_nodes[task] for task in tasks]
         )
         self._static_permutation = _frozen(
             np.array(configuration.static_mapping.to_permutation(), dtype=np.int64)
@@ -284,7 +286,7 @@ class RuntimeReconfigurationController:
             # the remaining stages are self-contained (moves, cycles, energy),
             # so a resumed stream re-executes them without re-lowering.
             state["plan"] = {
-                "plan": self._active_plan.to_dict(self.topology),
+                "plan": self._active_plan.to_dict(),
                 "next_stage": self._plan_next_stage,
             }
         return state
@@ -293,9 +295,11 @@ class RuntimeReconfigurationController:
         """Inverse of :meth:`state_dict`.
 
         Raises ``ValueError`` (leaving the controller untouched) for a
-        malformed in-flight plan: a stage that is not a closed relocation,
-        or a ``next_stage`` that does not name a remaining stage of a plan
-        whose first stage has run.
+        malformed in-flight plan: a stage that is not a closed relocation or
+        carries a value no lowering produces (see
+        :meth:`~repro.migration.plan.MigrationStage.from_dict`), or a
+        ``next_stage`` that does not name a remaining stage of a plan whose
+        first stage has run.
         """
         permutation = [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
         if sorted(permutation) != list(range(self.topology.num_nodes)):
@@ -358,7 +362,8 @@ class RuntimeReconfigurationController:
             self.migration_cache_hits += 1
             _OBS_COST_HITS.add()
             return cached
-        nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
+        payload_flits = np.empty_like(self._task_flits)
+        payload_flits[self._permutation] = self._task_flits
         with _obs_span(
             "migration.plan",
             transform=transform.name,
@@ -368,7 +373,7 @@ class RuntimeReconfigurationController:
             plan = lower_transform(
                 transform,
                 self.migration_unit,
-                nodes_per_pe,
+                payload_flits,
                 style=style,
                 units_per_epoch=units_per_epoch,
             )

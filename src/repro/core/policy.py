@@ -221,6 +221,13 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
                 continue
         if not self.candidates:
             raise ValueError("no valid candidate transforms for this topology")
+        # Secondary criterion: prefer transforms with fewer fixed points
+        # (they leave nothing pinned on a hotspot).  Fixed once per candidate.
+        identity = np.arange(topology.num_nodes)
+        self._fixed_penalties = [
+            int(np.count_nonzero(transform.node_permutation() == identity)) * 0.25
+            for transform in self.candidates
+        ]
         self.name = "adaptive"
         self.choices: List[str] = []
         #: transform name -> times chosen, including compacted-away entries.
@@ -241,12 +248,9 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
 
         best = None
         best_score = None
-        for transform in self.candidates:
+        for transform, fixed_penalty in zip(self.candidates, self._fixed_penalties):
             displaced = transform(hottest)
             distance = self.topology.manhattan_distance(hottest, displaced)
-            # Secondary criterion: prefer transforms with fewer fixed points
-            # (they leave nothing pinned on a hotspot).
-            fixed_penalty = len(transform.fixed_points()) * 0.25
             score = distance - fixed_penalty
             if best_score is None or score > best_score:
                 best_score = score

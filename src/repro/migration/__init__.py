@@ -16,7 +16,7 @@ from .plan import (
     congestion_factor,
     lower_transform,
 )
-from .scheduler import MigrationSchedule, MigrationScheduler, PeMove
+from .scheduler import MigrationSchedule, MigrationScheduler
 from .state_transfer import StateTransferModel
 from .transforms import (
     FIGURE1_SCHEMES,
@@ -31,7 +31,7 @@ from .transforms import (
     available_transforms,
     make_transform,
 )
-from .unit import MigrationCost, MigrationUnit
+from .unit import MigrationUnit
 
 __all__ = [
     "IoAddressTranslator",
@@ -42,7 +42,6 @@ __all__ = [
     "lower_transform",
     "MigrationSchedule",
     "MigrationScheduler",
-    "PeMove",
     "StateTransferModel",
     "FIGURE1_SCHEMES",
     "IdentityTransform",
@@ -55,6 +54,5 @@ __all__ = [
     "YMirrorTransform",
     "available_transforms",
     "make_transform",
-    "MigrationCost",
     "MigrationUnit",
 ]

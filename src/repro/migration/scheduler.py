@@ -11,72 +11,32 @@ deterministic XY routes share a link in the same direction; moves that
 conflict may not run in the same phase.  The scheduler greedily colours the
 conflict graph so that each phase is link-disjoint, and reports a
 deterministic cycle count for the whole migration.
+
+Moves are node-id arrays: move ``i`` carries ``payload_flits[i]`` flits
+from node ``sources[i]`` to node ``destinations[i]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Mapping, Optional
+
+import numpy as np
 
 from ..noc.routing import RoutingAlgorithm, XYRouting
 from ..noc.topology import Coordinate, MeshTopology
+from .plan import MigrationSchedule, schedule_moves
 from .state_transfer import StateTransferModel
 from .transforms import MigrationTransform
 
-
-@dataclass(frozen=True)
-class PeMove:
-    """One PE's migration: its payload travels ``source`` -> ``destination``."""
-
-    source: Coordinate
-    destination: Coordinate
-    payload_flits: int
-
-    @property
-    def is_local(self) -> bool:
-        """True when the PE does not actually change location (fixed point)."""
-        return self.source == self.destination
-
-    @property
-    def hops(self) -> int:
-        return abs(self.source[0] - self.destination[0]) + abs(
-            self.source[1] - self.destination[1]
-        )
-
-
-@dataclass
-class MigrationSchedule:
-    """Phased, congestion-free schedule of a full-chip migration."""
-
-    phases: List[List[PeMove]]
-    cycles_per_phase: List[int]
-    local_moves: List[PeMove] = field(default_factory=list)
-
-    @property
-    def num_phases(self) -> int:
-        return len(self.phases)
-
-    @property
-    def total_cycles(self) -> int:
-        """Deterministic duration of the migration in cycles."""
-        return sum(self.cycles_per_phase)
-
-    @property
-    def total_moves(self) -> int:
-        return sum(len(phase) for phase in self.phases) + len(self.local_moves)
-
-    def all_moves(self) -> List[PeMove]:
-        moves = [move for phase in self.phases for move in phase]
-        return moves + list(self.local_moves)
-
-
-def _links_of_route(route: Sequence[Coordinate]) -> Set[Tuple[Coordinate, Coordinate]]:
-    """Directed links used by a route (consecutive coordinate pairs)."""
-    return {(route[i], route[i + 1]) for i in range(len(route) - 1)}
+__all__ = ["MigrationSchedule", "MigrationScheduler"]
 
 
 class MigrationScheduler:
-    """Builds congestion-free phased schedules for a migration transform."""
+    """Prices and phases migration moves for one mesh.
+
+    The phasing itself is :func:`repro.migration.plan.schedule_moves`, the
+    one schedule every plan stage runs through.
+    """
 
     def __init__(
         self,
@@ -93,103 +53,41 @@ class MigrationScheduler:
         self.router_pipeline_cycles = router_pipeline_cycles
 
     # ------------------------------------------------------------------
-    def moves_for_transform(
-        self,
-        transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
-    ) -> List[PeMove]:
-        """The per-PE moves a transform induces on the current placement.
+    def payload_flits(
+        self, tanner_nodes_per_pe: Optional[Mapping[Coordinate, int]] = None
+    ) -> np.ndarray:
+        """Row-major per-node payload flits of the PEs' migration state.
 
-        ``tanner_nodes_per_pe`` sizes each PE's live state; when omitted every
-        PE carries only its configuration.
+        ``tanner_nodes_per_pe`` sizes each PE's live state; when omitted
+        every PE carries only its configuration.
         """
-        moves = []
-        for coord in self.topology.coordinates():
-            nodes = 0 if tanner_nodes_per_pe is None else tanner_nodes_per_pe.get(coord, 0)
-            moves.append(
-                PeMove(
-                    source=coord,
-                    destination=transform(coord),
-                    payload_flits=self.state_model.payload_flits(nodes),
-                )
-            )
-        return moves
-
-    # ------------------------------------------------------------------
-    def schedule(self, moves: Sequence[PeMove]) -> MigrationSchedule:
-        """Greedy link-disjoint phasing of the given moves.
-
-        Moves are considered longest-route-first (a standard interval-graph
-        colouring heuristic that keeps the phase count low); each move joins
-        the earliest phase whose link set it does not intersect.
-        """
-        local = [move for move in moves if move.is_local]
-        remote = [move for move in moves if not move.is_local]
-        remote_sorted = sorted(remote, key=lambda m: (-m.hops, m.source))
-
-        phases: List[List[PeMove]] = []
-        phase_links: List[Set[Tuple[Coordinate, Coordinate]]] = []
-        for move in remote_sorted:
-            route = self.routing.path(move.source, move.destination)
-            links = _links_of_route(route)
-            placed = False
-            for idx, used in enumerate(phase_links):
-                if not (links & used):
-                    phases[idx].append(move)
-                    used |= links
-                    placed = True
-                    break
-            if not placed:
-                phases.append([move])
-                phase_links.append(set(links))
-
-        cycles_per_phase = [self._phase_cycles(phase) for phase in phases]
-        return MigrationSchedule(
-            phases=phases, cycles_per_phase=cycles_per_phase, local_moves=local
+        nodes = tanner_nodes_per_pe or {}
+        return self.state_model.payload_flits_per_node(
+            [nodes.get(coord, 0) for coord in self.topology.coordinates()]
         )
+
+    def move_cycles(self, payload_flits, hops):
+        """Congestion-free duration of a move in cycles (elementwise on arrays).
+
+        This is THE per-move cycle cost: (serialization of the payload
+        through the conversion unit) + (hops x per-hop router pipeline
+        latency).  Every cycle account — phased schedules, their serialised
+        baseline, and every :mod:`repro.migration.plan` stage — routes
+        through this one formula so they cannot drift.
+        """
+        serialization = payload_flits * self.state_model.serialization_cycles_per_flit
+        return serialization + hops * self.router_pipeline_cycles
 
     def schedule_for_transform(
         self,
         transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
+        tanner_nodes_per_pe: Optional[Mapping[Coordinate, int]] = None,
     ) -> MigrationSchedule:
-        """Convenience: moves + schedule in one call."""
-        return self.schedule(self.moves_for_transform(transform, tanner_nodes_per_pe))
-
-    # ------------------------------------------------------------------
-    def move_cycles(self, move: PeMove) -> int:
-        """Congestion-free duration of one move in cycles.
-
-        This is THE per-move cycle cost: (serialization of the payload
-        through the conversion unit) + (hops x per-hop router pipeline
-        latency).  Every cycle account — phased schedules, the serialised
-        baseline, and staged :mod:`repro.migration.plan` stages — routes
-        through this one function so they cannot drift.
-        """
-        serialization = (
-            move.payload_flits * self.state_model.serialization_cycles_per_flit
-        )
-        traversal = move.hops * self.router_pipeline_cycles
-        return serialization + traversal
-
-    # ------------------------------------------------------------------
-    def _phase_cycles(self, phase: Sequence[PeMove]) -> int:
-        """Duration of one phase.
-
-        Within a phase no two packets share a link, so each move completes in
-        :meth:`move_cycles`; the phase lasts as long as its slowest move.
-        """
-        if not phase:
-            return 0
-        return max(self.move_cycles(move) for move in phase)
-
-    # ------------------------------------------------------------------
-    def naive_cycles(self, moves: Sequence[PeMove]) -> int:
-        """Duration of an un-phased, fully serialised migration (baseline).
-
-        The ablation benchmark compares this against the phased schedule to
-        quantify the benefit of congestion-free grouping.
-        """
-        return sum(
-            self.move_cycles(move) for move in moves if not move.is_local
+        """The phased schedule of the transform's sudden (one-stage) plan:
+        every node's move, in node-id order."""
+        return schedule_moves(
+            self,
+            np.arange(self.topology.num_nodes, dtype=np.int64),
+            transform.node_permutation(),
+            self.payload_flits(tanner_nodes_per_pe),
         )

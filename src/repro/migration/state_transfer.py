@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,14 @@ class StateTransferModel:
         if bits == 0:
             return 0
         return math.ceil(bits / self.flit_payload_bits)
+
+    def payload_flits_per_node(self, tanner_nodes: Sequence[int]) -> np.ndarray:
+        """:meth:`payload_flits` of every entry of ``tanner_nodes`` (int64)."""
+        nodes = np.asarray(tanner_nodes, dtype=np.int64)
+        if (nodes < 0).any():
+            raise ValueError("node count cannot be negative")
+        bits = self.configuration_bits + nodes * self.state_bits_per_tanner_node
+        return -(-bits // self.flit_payload_bits)
 
     def packet_flits(self, tanner_nodes_on_pe: int = 0) -> int:
         """Total flits including the head flit."""

@@ -22,77 +22,16 @@ rotational migration raises average chip temperature by ~0.3 °C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Mapping, Optional
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
 from ..noc.topology import Coordinate, MeshTopology
 from ..power.library import DEFAULT_LIBRARY, TechnologyLibrary
-from .scheduler import MigrationSchedule, MigrationScheduler, PeMove
+from .plan import MigrationStage, lower_transform
+from .scheduler import MigrationScheduler
 from .state_transfer import StateTransferModel
 from .transforms import MigrationTransform
-
-
-@dataclass(frozen=True)
-class MoveEnergy:
-    """Energy terms of one :class:`PeMove` (the shared per-move account).
-
-    ``route`` is empty for local moves (fixed points pay only the conversion
-    and halt/restart cost).  The charge/term orders below replicate the
-    original whole-transform accumulation exactly, so folding every move of
-    a transform reproduces the legacy :class:`MigrationCost` bit-for-bit.
-    """
-
-    move: PeMove
-    conversion_j: float
-    route: Tuple[Coordinate, ...] = ()
-    router_energy_j: float = 0.0
-    link_energy_j: float = 0.0
-
-    @property
-    def total_j(self) -> float:
-        total = 0.0
-        for term in self.total_terms():
-            total += term
-        return total
-
-    def unit_charges(self) -> List[Tuple[Coordinate, float]]:
-        """Per-coordinate charges, in the canonical accumulation order."""
-        charges: List[Tuple[Coordinate, float]] = [
-            (self.move.source, self.conversion_j)
-        ]
-        if not self.route:
-            return charges
-        for coord in self.route:
-            charges.append((coord, self.router_energy_j))
-        # Charge link energy to the source half / destination half evenly.
-        charges.append((self.move.source, self.link_energy_j / 2.0))
-        charges.append((self.move.destination, self.link_energy_j / 2.0))
-        return charges
-
-    def total_terms(self) -> List[float]:
-        """Whole-chip total terms (link energy as ONE term, as it always was)."""
-        terms = [self.conversion_j]
-        if not self.route:
-            return terms
-        terms.extend(self.router_energy_j for _ in self.route)
-        terms.append(self.link_energy_j)
-        return terms
-
-
-@dataclass
-class MigrationCost:
-    """Cycles and energy of one full-chip migration."""
-
-    cycles: int
-    total_energy_j: float
-    energy_per_unit_j: Dict[Coordinate, float]
-    schedule: MigrationSchedule
-
-    @property
-    def num_phases(self) -> int:
-        return self.schedule.num_phases
 
 
 class MigrationUnit:
@@ -141,72 +80,22 @@ class MigrationUnit:
         self.fixed_energy_per_pe_j = fixed_energy_per_pe_j
 
     # ------------------------------------------------------------------
-    def move_energy(self, move: PeMove) -> MoveEnergy:
-        """The per-move energy account, shared by every cost path.
-
-        Conversion-unit serialization plus the fixed halt/reconfigure/restart
-        cost at the source, router energy at every router the payload passes
-        through, and link energy split evenly between the endpoints.  Both
-        the whole-transform :meth:`migration_cost` and the staged
-        :mod:`repro.migration.plan` stage costs fold these same terms so the
-        two accounts cannot drift.
-        """
-        conversion = (
-            move.payload_flits * self.conversion_energy_per_flit_j
-            + self.fixed_energy_per_pe_j
-        )
-        if move.is_local:
-            return MoveEnergy(move=move, conversion_j=conversion)
-        flits = move.payload_flits + 1  # head flit included for transport
-        route = self.routing.path(move.source, move.destination)
-        hop_count = len(route) - 1
-        return MoveEnergy(
-            move=move,
-            conversion_j=conversion,
-            route=tuple(route),
-            router_energy_j=flits * self.library.router_energy_per_flit_j,
-            link_energy_j=flits * hop_count * self.library.link_energy_per_flit_j,
-        )
-
-    def moves_energy(
-        self, moves: List[PeMove]
-    ) -> Tuple[float, Dict[Coordinate, float]]:
-        """Total and per-unit energy of a set of moves (accumulation order
-        matches :meth:`migration_cost` for bit-identical whole-chip sums)."""
-        energy_per_unit: Dict[Coordinate, float] = {
-            coord: 0.0 for coord in self.topology.coordinates()
-        }
-        total = 0.0
-        for move in moves:
-            account = self.move_energy(move)
-            for coord, energy in account.unit_charges():
-                energy_per_unit[coord] += energy
-            for term in account.total_terms():
-                total += term
-        return total, energy_per_unit
-
-    # ------------------------------------------------------------------
     def migration_cost(
         self,
         transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
-    ) -> MigrationCost:
-        """Cycles and per-unit energy of applying ``transform`` once."""
-        moves = self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
-        schedule = self.scheduler.schedule(moves)
-        total, energy_per_unit = self.moves_energy(moves)
-        return MigrationCost(
-            cycles=schedule.total_cycles,
-            total_energy_j=total,
-            energy_per_unit_j=energy_per_unit,
-            schedule=schedule,
-        )
+        tanner_nodes_per_pe: Optional[Mapping[Coordinate, int]] = None,
+    ) -> MigrationStage:
+        """Cycles and per-node energy of applying ``transform`` once: the one
+        stage of its sudden :class:`~repro.migration.plan.MigrationPlan`."""
+        return lower_transform(
+            transform, self, self.scheduler.payload_flits(tanner_nodes_per_pe)
+        ).stages[0]
 
     # ------------------------------------------------------------------
     def migration_packets(
         self,
         transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
+        tanner_nodes_per_pe: Optional[Mapping[Coordinate, int]] = None,
         cycle: int = 0,
     ) -> List[Packet]:
         """CONFIG packets that would carry the migration over the real NoC.
@@ -215,28 +104,31 @@ class MigrationUnit:
         replay a migration through the cycle-accurate network and check that
         the analytic schedule's cycle count is an upper bound on reality.
         """
-        packets = []
-        for move in self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe):
-            if move.is_local:
-                continue
-            packets.append(
-                Packet(
-                    source=move.source,
-                    destination=move.destination,
-                    size_flits=move.payload_flits + 1,
-                    packet_class=PacketClass.CONFIG,
-                    injection_cycle=cycle,
-                    payload={"migration": transform.name},
-                )
+        stage = self.migration_cost(transform, tanner_nodes_per_pe)
+        coordinate = self.topology.coordinate
+        return [
+            Packet(
+                source=coordinate(source),
+                destination=coordinate(destination),
+                size_flits=flits + 1,
+                packet_class=PacketClass.CONFIG,
+                injection_cycle=cycle,
+                payload={"migration": transform.name},
             )
-        return packets
+            for source, destination, flits in zip(
+                stage.sources.tolist(),
+                stage.destinations.tolist(),
+                stage.payload_flits.tolist(),
+            )
+            if source != destination
+        ]
 
     # ------------------------------------------------------------------
     def throughput_penalty(
         self,
         transform: MigrationTransform,
         period_cycles: int,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
+        tanner_nodes_per_pe: Optional[Mapping[Coordinate, int]] = None,
     ) -> float:
         """Fraction of workload throughput lost to migration downtime.
 
@@ -245,5 +137,5 @@ class MigrationUnit:
         """
         if period_cycles <= 0:
             raise ValueError("migration period must be positive")
-        cost = self.migration_cost(transform, tanner_nodes_per_pe)
-        return cost.cycles / (cost.cycles + period_cycles)
+        cycles = self.migration_cost(transform, tanner_nodes_per_pe).cycles
+        return cycles / (cycles + period_cycles)

@@ -13,7 +13,9 @@ least congested one.
 
 Deterministic routes (:meth:`RoutingAlgorithm.path`) are a pure function of
 the algorithm class and the mesh, so they are served from a process-wide
-per-(class, mesh) table of immutable tuples, built once under the same lock
+per-(class, mesh) table of immutable tuples.  :func:`mesh_table` keeps every
+such table (the routes here, the migration lowering's arrays in
+:mod:`repro.migration.plan`) and builds each once under the same lock
 discipline as the analytic-model cache in :mod:`repro.scenarios.noc_cost`:
 a global lock guards the dicts, a short-lived per-key lock serializes
 threads building the *same* table, and distinct keys build in parallel.
@@ -23,17 +25,19 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .topology import Coordinate, Direction, MeshTopology
 
 Route = Tuple[Coordinate, ...]
 RouteTable = Dict[Tuple[Coordinate, Coordinate], Route]
+_Table = TypeVar("_Table")
+_TableKey = Tuple[str, type, MeshTopology]
 
-#: (routing class, mesh) -> {(source, destination): route}.
-_ROUTE_TABLES: Dict[Tuple[type, MeshTopology], RouteTable] = {}
-_ROUTE_TABLE_KEY_LOCKS: Dict[Tuple[type, MeshTopology], threading.Lock] = {}
-_ROUTE_TABLE_LOCK = threading.Lock()
+#: (table kind, routing class, mesh) -> table.
+_MESH_TABLES: Dict[_TableKey, object] = {}
+_MESH_TABLE_KEY_LOCKS: Dict[_TableKey, threading.Lock] = {}
+_MESH_TABLE_LOCK = threading.Lock()
 
 
 class RoutingAlgorithm(ABC):
@@ -71,7 +75,7 @@ class RoutingAlgorithm(ABC):
         """
         table = getattr(self, "_routes", None)
         if table is None:
-            table = self._routes = _route_table(self)
+            table = self._routes = mesh_table(self, "routes", _build_route_table)
         route = table.get((source, destination))
         if route is None:
             # Off-mesh endpoints and unroutable pairs raise from the walk.
@@ -251,23 +255,32 @@ def _build_route_table(routing: RoutingAlgorithm) -> RouteTable:
     return table
 
 
-def _route_table(routing: RoutingAlgorithm) -> RouteTable:
-    """The shared route table of ``routing``'s (class, mesh), built once."""
-    key = (type(routing), routing.topology)
-    with _ROUTE_TABLE_LOCK:
-        cached = _ROUTE_TABLES.get(key)
+def mesh_table(
+    routing: RoutingAlgorithm,
+    kind: str,
+    build: Callable[[RoutingAlgorithm], _Table],
+) -> _Table:
+    """The process-wide ``kind`` table of ``routing``'s (class, mesh).
+
+    ``build(routing)`` runs once per key; every later caller shares its
+    result, so a table must be immutable and a pure function of the
+    routing class and the mesh.
+    """
+    key = (kind, type(routing), routing.topology)
+    with _MESH_TABLE_LOCK:
+        cached = _MESH_TABLES.get(key)
         if cached is not None:
-            return cached
-        key_lock = _ROUTE_TABLE_KEY_LOCKS.setdefault(key, threading.Lock())
+            return cached  # type: ignore[return-value]
+        key_lock = _MESH_TABLE_KEY_LOCKS.setdefault(key, threading.Lock())
     with key_lock:
-        with _ROUTE_TABLE_LOCK:
-            cached = _ROUTE_TABLES.get(key)
+        with _MESH_TABLE_LOCK:
+            cached = _MESH_TABLES.get(key)
         if cached is not None:
-            return cached
-        table = _build_route_table(routing)
-        with _ROUTE_TABLE_LOCK:
-            _ROUTE_TABLES[key] = table
-            _ROUTE_TABLE_KEY_LOCKS.pop(key, None)
+            return cached  # type: ignore[return-value]
+        table = build(routing)
+        with _MESH_TABLE_LOCK:
+            _MESH_TABLES[key] = table
+            _MESH_TABLE_KEY_LOCKS.pop(key, None)
         return table
 
 

@@ -1,5 +1,8 @@
 """Tests for the runtime reconfiguration controller."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,9 @@ from repro.migration.transforms import (
     make_transform,
 )
 from repro.migration.unit import MigrationUnit
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import migration_oracle  # noqa: E402
 
 
 @pytest.fixture
@@ -91,8 +97,8 @@ class TestMigrationCostCache:
     @pytest.mark.parametrize("scheme", FIGURE1_SCHEMES)
     def test_cached_stage_costs_match_fresh_migration_cost(self, chip, scheme):
         """Oracle: every served stage cost along an orbit — lowered on the
-        first lap, cached on the next two — equals a fresh whole-transform
-        ``MigrationUnit.migration_cost`` at the mapping it was applied to."""
+        first lap, cached on the next two — equals the coordinate-walking
+        reference cost at the mapping it was applied to."""
         configuration = get_configuration(chip)
         controller = RuntimeReconfigurationController(configuration)
         unit = MigrationUnit(configuration.topology, library=configuration.library)
@@ -101,13 +107,16 @@ class TestMigrationCostCache:
         for _ in range(laps * transform.order()):
             nodes_per_pe = configuration.tanner_nodes_per_pe(controller.current_mapping)
             cost = controller.apply_migration(transform)
-            fresh = unit.migration_cost(transform, nodes_per_pe)
+            (fresh,) = migration_oracle.lower(unit, transform, nodes_per_pe)
             assert cost.cycles == fresh.cycles
-            assert cost.total_energy_j == fresh.total_energy_j
-            assert dict(cost.energy_per_unit_j) == fresh.energy_per_unit_j
-            topology = configuration.topology
-            for coord, energy in fresh.energy_per_unit_j.items():
-                assert cost.energy_vector[topology.node_id(coord)] == energy
+            assert cost.total_energy_j == fresh.energy_j
+            assert np.array_equal(
+                cost.energy_vector,
+                migration_oracle.energy_vector(
+                    configuration.topology, fresh.energy_per_unit_j
+                ),
+            )
+            assert unit.migration_cost(transform, nodes_per_pe).energy_j == fresh.energy_j
         assert controller.migration_cost_computations == transform.order()
         assert controller.migration_cache_hits == (laps - 1) * transform.order()
 

@@ -21,7 +21,6 @@ from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
 from repro.migration.io_interface import IoAddressTranslator
 from repro.migration.plan import MigrationStage, lower_transform
-from repro.migration.scheduler import PeMove
 from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 
 PERIOD_S = 5e-4
@@ -71,11 +70,23 @@ class Reference:
         for task, watts in self.configuration.per_task_power().items():
             power[topology.node_id(self.mapping[task])] = watts
         if cost is not None:
-            for coord, energy in cost.energy_per_unit_j.items():
+            for node, energy in enumerate(cost.energy_vector.tolist()):
                 if energy == 0.0:
                     continue
-                power[topology.node_id(coord)] += energy / PERIOD_S
+                power[node] += energy / PERIOD_S
         return power
+
+
+def _relocation(topology, stage):
+    """A stage's moves as a coordinate -> coordinate function."""
+    coordinate = topology.coordinate
+    moves = {
+        coordinate(source): coordinate(destination)
+        for source, destination in zip(
+            stage.sources.tolist(), stage.destinations.tolist()
+        )
+    }
+    return lambda coord: moves.get(coord, coord)
 
 
 def _check(controller, reference, cost) -> None:
@@ -100,9 +111,9 @@ def _step(controller, reference, action):
         if not controller.migration_in_progress:
             return None
         plan = controller.active_plan
-        moves = plan.stages[controller.plan_next_stage].mapping_moves()
+        relocate = _relocation(topology, plan.stages[controller.plan_next_stage])
         cost = controller.advance_plan(congestion=1.25)
-        reference.move(lambda coord: moves.get(coord, coord))
+        reference.move(relocate)
         return cost
     if kind == "sudden":
         transform = make_transform(action[1], topology)
@@ -117,12 +128,12 @@ def _step(controller, reference, action):
         expected = lower_transform(
             transform, controller.migration_unit, style=style, units_per_epoch=units
         )
-        moves = expected.stages[0].mapping_moves()
+        relocate = _relocation(topology, expected.stages[0])
         cost = controller.apply_migration(
             transform, style=style, units_per_epoch=units, congestion=1.25
         )
         assert cost.stage_count == expected.num_stages
-        reference.move(lambda coord: moves.get(coord, coord))
+        reference.move(relocate)
         return cost
     return None
 
@@ -182,13 +193,12 @@ def test_non_closed_stage_moves_are_rejected(data):
     )
     moves = dict(zip(sources, destinations))
     stage = MigrationStage(
-        moves=tuple(
-            PeMove(source=source, destination=destination, payload_flits=1)
-            for source, destination in moves.items()
-        ),
+        sources=np.array([topology.node_id(source) for source in moves]),
+        destinations=np.array([topology.node_id(dest) for dest in moves.values()]),
+        payload_flits=np.ones(len(moves), dtype=np.int64),
         cycles=0,
         energy_j=0.0,
-        energy_per_unit_j={},
+        energy_vector=np.zeros(topology.num_nodes),
     )
     if set(moves) == set(moves.values()):
         translator = IoAddressTranslator(topology)

@@ -12,6 +12,7 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
     make_policy,
 )
+from repro.migration.transforms import MigrationTransform
 
 
 def _context(mesh, epoch=1, peak=90.0, hottest=(2, 2)):
@@ -111,6 +112,34 @@ class TestAdaptive:
         assert len(policy.choices) == 2
         policy.reset()
         assert policy.choices == []
+
+    @pytest.mark.parametrize("mesh_name", ["mesh4", "mesh5"])
+    def test_decide_never_walks_fixed_points(self, mesh_name, request, monkeypatch):
+        """The fixed-point penalty is fixed per candidate at construction:
+        ``decide`` makes the choice the per-call coordinate walk made, without
+        walking."""
+        mesh = request.getfixturevalue(mesh_name)
+        policy = AdaptiveMigrationPolicy(mesh)
+
+        def walked_choice(hottest):
+            scores = [
+                mesh.manhattan_distance(hottest, transform(hottest))
+                - len(transform.fixed_points()) * 0.25
+                for transform in policy.candidates
+            ]
+            return policy.candidates[scores.index(max(scores))].name
+
+        expected = [walked_choice(coord) for coord in mesh.coordinates()]
+
+        def refuse(self):
+            raise AssertionError("decide walked fixed_points()")
+
+        monkeypatch.setattr(MigrationTransform, "fixed_points", refuse)
+        chosen = [
+            policy.decide(_context(mesh, hottest=coord)).name
+            for coord in mesh.coordinates()
+        ]
+        assert chosen == expected
 
     def test_requires_candidates(self, mesh3x2):
         with pytest.raises(ValueError):

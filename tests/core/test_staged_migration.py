@@ -419,3 +419,30 @@ class TestCheckpointedPlanValidation:
         moves = state["plan"]["plan"]["stages"][1]["moves"]
         moves[0][1] = moves[0][0]  # one PE of the cycle stays put
         self._assert_rejected(chip_a, state, "closed relocation")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("cycles", -5, "cycles -5 must be non-negative"),
+            ("energy_j", float("nan"), "energy_j nan must be finite"),
+            ("payload_flits", -3, "payload flits must be non-negative"),
+            ("energy_per_unit", float("inf"), r"energy_per_unit\[\d+\] inf must be finite"),
+            ("source", 16, r"node ids 0\.\.15"),
+            ("energy_node", "-1", "names node -1 outside"),
+        ],
+    )
+    def test_malformed_stage_value_rejected(self, chip_a, state, field, value, match):
+        """A number no lowering produces is refused before it can skew the
+        running totals or the power rows."""
+        stage = state["plan"]["plan"]["stages"][1]
+        if field == "payload_flits":
+            stage["moves"][0][2] = value
+        elif field == "source":
+            stage["moves"][0][0] = value
+        elif field == "energy_per_unit":
+            stage["energy_per_unit"][next(iter(stage["energy_per_unit"]))] = value
+        elif field == "energy_node":
+            stage["energy_per_unit"][value] = 1e-9
+        else:
+            stage[field] = value
+        self._assert_rejected(chip_a, state, match)

@@ -1,7 +1,10 @@
 """Tests for staged migration plans (lowering, invariants, pricing)."""
 
 import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +15,8 @@ from repro.migration.plan import (
     lower_transform,
     priced_stage_cycles,
 )
-from repro.migration.scheduler import PeMove, _links_of_route
 from repro.migration.transforms import (
     IdentityTransform,
-    MigrationTransform,
     RotationTransform,
     XYShiftTransform,
     make_transform,
@@ -24,6 +25,9 @@ from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
 from repro.placement.mapping import Mapping
 from repro.scenarios.noc_cost import NocCostModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import migration_oracle  # noqa: E402
 
 
 @pytest.fixture
@@ -36,21 +40,30 @@ def unit5(mesh5):
     return MigrationUnit(mesh5)
 
 
-def _move_key(move):
-    return (move.source, move.destination, move.payload_flits)
+def _oracle_move_key(topology, move):
+    return (
+        topology.node_id(move.source),
+        topology.node_id(move.destination),
+        move.payload_flits,
+    )
 
 
-class PermutationTransform(MigrationTransform):
-    """An arbitrary permutation, for property tests beyond the named schemes."""
+def _staged_move_keys(plan):
+    """Every stage's moves as (source, destination, flits) node-id triples."""
+    return [
+        move
+        for stage in plan.stages
+        for move in zip(
+            stage.sources.tolist(),
+            stage.destinations.tolist(),
+            stage.payload_flits.tolist(),
+        )
+    ]
 
-    name = "perm"
 
-    def __init__(self, topology, permutation):
-        super().__init__(topology)
-        self._permutation = permutation
-
-    def apply(self, coord):
-        return self._permutation[coord]
+def _apply(step, mapping):
+    """A ``task -> node`` mapping after a stage's ``node -> node`` step."""
+    return step[mapping]
 
 
 class TestSuddenLowering:
@@ -64,16 +77,22 @@ class TestSuddenLowering:
 
     @pytest.mark.parametrize("scheme", ["xy-shift", "rotation", "x-mirror"])
     def test_bit_identical_to_legacy_cost(self, unit4, mesh4, scheme):
-        """Same schedule, same float accumulation order — bit equality, not
-        approx (the satellite regression for the shared move_cycles path)."""
+        """Same schedule, same float accumulation order as the coordinate
+        walk — bit equality, not approx."""
         transform = make_transform(scheme, mesh4)
         nodes = {coord: 7 for coord in mesh4.coordinates()}
-        legacy = unit4.migration_cost(transform, nodes)
-        plan = lower_transform(transform, unit4, nodes, style="sudden")
+        (legacy,) = migration_oracle.lower(unit4, transform, nodes)
+        plan = lower_transform(
+            transform, unit4, unit4.scheduler.payload_flits(nodes), style="sudden"
+        )
         stage = plan.stages[0]
         assert stage.cycles == legacy.cycles
-        assert stage.energy_j == legacy.total_energy_j
-        assert dict(stage.energy_per_unit_j) == legacy.energy_per_unit_j
+        assert stage.energy_j == legacy.energy_j
+        assert np.array_equal(
+            stage.energy_vector,
+            migration_oracle.energy_vector(mesh4, legacy.energy_per_unit_j),
+        )
+        assert unit4.migration_cost(transform, nodes) == stage
 
     def test_identity_transform_is_cost_only(self, unit4, mesh4):
         plan = lower_transform(IdentityTransform(mesh4), unit4, style="sudden")
@@ -98,28 +117,25 @@ class TestStagePartition:
     @pytest.mark.parametrize("scheme", ["xy-shift", "rotation", "right-shift"])
     def test_moves_partition(self, unit5, mesh5, style, scheme):
         transform = make_transform(scheme, mesh5)
-        reference = unit5.scheduler.moves_for_transform(transform)
+        reference = migration_oracle.moves_for_transform(unit5.scheduler, transform)
         plan = lower_transform(
             transform, unit5, style=style, units_per_epoch=3
         )
-        staged = [move for stage in plan.stages for move in stage.moves]
-        assert sorted(map(_move_key, staged)) == sorted(
-            map(_move_key, reference)
+        staged = _staged_move_keys(plan)
+        assert sorted(staged) == sorted(
+            _oracle_move_key(mesh5, move) for move in reference
         )
         # No move appears in two stages.
-        assert len(staged) == len({_move_key(move) for move in staged})
+        assert len(staged) == len(set(staged))
 
     @pytest.mark.parametrize("style", MIGRATION_STYLES)
     def test_composed_permutation_matches_transform(self, unit5, mesh5, style):
         transform = RotationTransform(mesh5)
         plan = lower_transform(transform, unit5, style=style, units_per_epoch=2)
-        composed = plan.mapping_moves()
-        expected = {
-            coord: image
-            for coord, image in transform.as_permutation().items()
-            if coord != image
-        }
-        assert composed == expected
+        composed = np.arange(mesh5.num_nodes)
+        for stage in plan.stages:
+            composed = _apply(stage.node_step(mesh5), composed)
+        assert np.array_equal(composed, transform.node_permutation())
 
 
 class TestFluidLowering:
@@ -147,16 +163,12 @@ class TestFluidLowering:
         )
         mapping = Mapping.identity(mesh5)
         for stage in plan.stages:
-            moves = stage.mapping_moves()
             # Closed relocation: sources and destinations are the same set.
-            assert set(moves) == set(moves.values()) or not moves
-            mapping = Mapping(
-                mesh5,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in mapping.physical_of_task.items()
-                },
-            )  # Mapping.__post_init__ validates bijectivity
+            assert set(stage.sources.tolist()) == set(stage.destinations.tolist())
+            # Mapping.from_permutation validates bijectivity.
+            mapping = Mapping.from_permutation(
+                mesh5, _apply(stage.node_step(mesh5), np.array(mapping.to_permutation())).tolist()
+            )
         final = RotationTransform(mesh5).as_permutation()
         assert {
             task: final[coord]
@@ -164,24 +176,31 @@ class TestFluidLowering:
         } == mapping.physical_of_task
 
 
+def _stage_moves(topology, stage):
+    """A stage's moves as oracle :class:`PeMove` records."""
+    coordinate = topology.coordinate
+    return [
+        migration_oracle.PeMove(coordinate(source), coordinate(destination), flits)
+        for source, destination, flits in zip(
+            stage.sources.tolist(),
+            stage.destinations.tolist(),
+            stage.payload_flits.tolist(),
+        )
+    ]
+
+
 def _stage_cycle_links(unit, stage):
     """Per permutation cycle of the stage, the union of its route links."""
-    remote = [move for move in stage.moves if not move.is_local]
+    remote = [move for move in _stage_moves(unit.topology, stage) if not move.is_local]
     link_sets = []
-    for cycle in _permutation_cycle_groups(remote):
+    for cycle in migration_oracle.permutation_cycles(remote):
         links = set()
         for move in cycle:
-            links |= _links_of_route(
+            links |= migration_oracle.links_of_route(
                 unit.routing.path(move.source, move.destination)
             )
         link_sets.append(links)
     return link_sets
-
-
-def _permutation_cycle_groups(remote_moves):
-    from repro.migration.plan import _permutation_cycles
-
-    return _permutation_cycles(list(remote_moves))
 
 
 def _assert_cycles_disjoint(unit, plan):
@@ -206,10 +225,21 @@ class TestBatchedLowering:
         plan = lower_transform(RotationTransform(mesh5), unit5, style="batched")
         scheduler = unit5.scheduler
         for stage in plan.stages:
-            remote = [move for move in stage.moves if not move.is_local]
-            if remote:
-                slowest = max(scheduler.move_cycles(move) for move in remote)
-                assert slowest <= stage.cycles <= scheduler.naive_cycles(remote)
+            remote = stage.sources != stage.destinations
+            if remote.any():
+                hops = np.array(
+                    [
+                        mesh5.manhattan_distance(
+                            mesh5.coordinate(source), mesh5.coordinate(destination)
+                        )
+                        for source, destination in zip(
+                            stage.sources[remote].tolist(),
+                            stage.destinations[remote].tolist(),
+                        )
+                    ]
+                )
+                move_cycles = scheduler.move_cycles(stage.payload_flits[remote], hops)
+                assert move_cycles.max() <= stage.cycles <= move_cycles.sum()
 
 
 class TestMoveCyclesAccount:
@@ -217,26 +247,37 @@ class TestMoveCyclesAccount:
 
     def test_phase_cycles_routes_through_move_cycles(self, unit4, mesh4):
         scheduler = unit4.scheduler
-        moves = scheduler.moves_for_transform(XYShiftTransform(mesh4))
-        remote = [move for move in moves if not move.is_local]
-        for move in remote:
-            assert scheduler._phase_cycles([move]) == scheduler.move_cycles(move)
+        schedule = scheduler.schedule_for_transform(XYShiftTransform(mesh4))
+        oracle = migration_oracle.moves_for_transform(scheduler, XYShiftTransform(mesh4))
+        by_source = {mesh4.node_id(move.source): move for move in oracle}
+        for phase, cycles in zip(schedule.phases, schedule.move_cycles):
+            for source, move_cycles in zip(phase, cycles):
+                move = by_source[source]
+                assert move_cycles == scheduler.move_cycles(
+                    move.payload_flits, move.hops
+                )
+                assert move_cycles == migration_oracle.move_cycles(scheduler, move)
 
     def test_naive_cycles_is_sum_of_move_cycles(self, unit4, mesh4):
         scheduler = unit4.scheduler
-        moves = scheduler.moves_for_transform(RotationTransform(mesh4))
-        assert scheduler.naive_cycles(moves) == sum(
-            scheduler.move_cycles(move) for move in moves if not move.is_local
+        schedule = scheduler.schedule_for_transform(RotationTransform(mesh4))
+        moves = migration_oracle.moves_for_transform(scheduler, RotationTransform(mesh4))
+        assert schedule.serialised_cycles == migration_oracle.naive_cycles(
+            scheduler, moves
         )
 
     def test_move_cycles_components(self, unit4):
         scheduler = unit4.scheduler
-        move = PeMove(source=(0, 0), destination=(3, 2), payload_flits=10)
+        # (0, 0) -> (3, 2): five hops.
         expected = (
             10 * scheduler.state_model.serialization_cycles_per_flit
             + 5 * scheduler.router_pipeline_cycles
         )
-        assert scheduler.move_cycles(move) == expected
+        assert scheduler.move_cycles(10, 5) == expected
+        assert scheduler.move_cycles(np.array([10, 10]), np.array([5, 0])).tolist() == [
+            expected,
+            10 * scheduler.state_model.serialization_cycles_per_flit,
+        ]
 
 
 class TestPlanCodec:
@@ -244,9 +285,13 @@ class TestPlanCodec:
     def test_round_trip(self, unit5, mesh5, style):
         nodes = {coord: 5 for coord in mesh5.coordinates()}
         plan = lower_transform(
-            RotationTransform(mesh5), unit5, nodes, style=style, units_per_epoch=3
+            RotationTransform(mesh5),
+            unit5,
+            unit5.scheduler.payload_flits(nodes),
+            style=style,
+            units_per_epoch=3,
         )
-        restored = MigrationPlan.from_dict(plan.to_dict(mesh5), mesh5)
+        restored = MigrationPlan.from_dict(plan.to_dict(), mesh5)
         assert restored == plan
 
 
@@ -281,10 +326,10 @@ class TestCongestionPricing:
 
 
 def _cycles_of(unit, transform):
-    from repro.migration.plan import _permutation_cycles
-
-    moves = unit.scheduler.moves_for_transform(transform)
-    return _permutation_cycles([move for move in moves if not move.is_local])
+    moves = migration_oracle.moves_for_transform(unit.scheduler, transform)
+    return migration_oracle.permutation_cycles(
+        [move for move in moves if not move.is_local]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -306,24 +351,21 @@ class TestPlanProperties:
     def test_fluid_partitions_and_stays_bijective(self, data, units):
         topology, permutation = data
         unit = MigrationUnit(topology)
-        transform = PermutationTransform(topology, permutation)
+        transform = migration_oracle.PermutationTransform(topology, permutation)
         plan = lower_transform(
             transform, unit, style="fluid", units_per_epoch=units
         )
-        reference = unit.scheduler.moves_for_transform(transform)
-        staged = [move for stage in plan.stages for move in stage.moves]
-        assert sorted(map(_move_key, staged)) == sorted(
-            map(_move_key, reference)
+        reference = migration_oracle.moves_for_transform(unit.scheduler, transform)
+        assert sorted(_staged_move_keys(plan)) == sorted(
+            _oracle_move_key(topology, move) for move in reference
         )
         mapping = Mapping.identity(topology)
         for stage in plan.stages:
-            moves = stage.mapping_moves()
-            mapping = Mapping(
+            mapping = Mapping.from_permutation(
                 topology,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in mapping.physical_of_task.items()
-                },
+                _apply(
+                    stage.node_step(topology), np.array(mapping.to_permutation())
+                ).tolist(),
             )
         assert {
             task: permutation[coord]
@@ -336,7 +378,7 @@ class TestPlanProperties:
         topology, permutation = data
         unit = MigrationUnit(topology)
         plan = lower_transform(
-            PermutationTransform(topology, permutation), unit, style="batched"
+            migration_oracle.PermutationTransform(topology, permutation), unit, style="batched"
         )
         _assert_cycles_disjoint(unit, plan)
 
@@ -345,8 +387,8 @@ class TestPlanProperties:
     def test_sudden_equals_legacy_cost(self, data):
         topology, permutation = data
         unit = MigrationUnit(topology)
-        transform = PermutationTransform(topology, permutation)
-        legacy = unit.migration_cost(transform)
+        transform = migration_oracle.PermutationTransform(topology, permutation)
+        (legacy,) = migration_oracle.lower(unit, transform)
         plan = lower_transform(transform, unit, style="sudden")
         assert plan.stages[0].cycles == legacy.cycles
-        assert plan.stages[0].energy_j == legacy.total_energy_j
+        assert plan.stages[0].energy_j == legacy.energy_j

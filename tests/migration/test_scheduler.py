@@ -1,8 +1,10 @@
 """Tests for congestion-free migration scheduling."""
 
+import numpy as np
 import pytest
 
-from repro.migration.scheduler import MigrationScheduler, PeMove
+from repro.migration.plan import schedule_moves
+from repro.migration.scheduler import MigrationScheduler
 from repro.migration.state_transfer import StateTransferModel
 from repro.migration.transforms import (
     RightShiftTransform,
@@ -10,6 +12,7 @@ from repro.migration.transforms import (
     XYShiftTransform,
     make_transform,
 )
+from repro.migration.unit import MigrationUnit
 from repro.noc.routing import XYRouting
 
 
@@ -23,25 +26,35 @@ def scheduler5(mesh5):
     return MigrationScheduler(mesh5)
 
 
+def _moves(topology, transform, nodes=None):
+    """The sudden plan's one stage: every node's move, in node-id order."""
+    return MigrationUnit(topology).migration_cost(transform, nodes)
+
+
+def _hops(topology, source, destination):
+    return topology.manhattan_distance(
+        topology.coordinate(source), topology.coordinate(destination)
+    )
+
+
 class TestMoves:
     def test_one_move_per_pe(self, scheduler4, mesh4):
-        moves = scheduler4.moves_for_transform(XYShiftTransform(mesh4))
-        assert len(moves) == 16
-        assert {move.source for move in moves} == set(mesh4.coordinates())
-        assert {move.destination for move in moves} == set(mesh4.coordinates())
+        stage = _moves(mesh4, XYShiftTransform(mesh4))
+        assert stage.sources.tolist() == list(range(16))
+        assert sorted(stage.destinations.tolist()) == list(range(16))
 
     def test_fixed_point_is_local_move(self, scheduler5, mesh5):
-        moves = scheduler5.moves_for_transform(RotationTransform(mesh5))
-        local = [move for move in moves if move.is_local]
-        assert len(local) == 1
-        assert local[0].source == (2, 2)
+        stage = _moves(mesh5, RotationTransform(mesh5))
+        local = stage.sources[stage.sources == stage.destinations]
+        assert local.tolist() == [mesh5.node_id((2, 2))]
 
     def test_state_sizing_included(self, scheduler4, mesh4):
         nodes = {coord: 10 for coord in mesh4.coordinates()}
-        moves = scheduler4.moves_for_transform(XYShiftTransform(mesh4), nodes)
-        plain = scheduler4.moves_for_transform(XYShiftTransform(mesh4))
-        assert moves[0].payload_flits > 0
-        assert moves[0].payload_flits >= plain[0].payload_flits
+        flits = scheduler4.payload_flits(nodes)
+        plain = scheduler4.payload_flits()
+        assert flits[0] > 0
+        assert (flits >= plain).all()
+        assert flits[0] == StateTransferModel().payload_flits(10)
 
 
 class TestScheduleCorrectness:
@@ -52,23 +65,27 @@ class TestScheduleCorrectness:
         routing = XYRouting(mesh5)
         for phase in schedule.phases:
             used = set()
-            for move in phase:
-                route = routing.path(move.source, move.destination)
+            for source in phase:
+                route = routing.path(
+                    mesh5.coordinate(source), transform(mesh5.coordinate(source))
+                )
                 links = {(route[i], route[i + 1]) for i in range(len(route) - 1)}
                 assert not (links & used), "two moves in one phase share a link"
                 used |= links
 
     def test_all_moves_scheduled(self, scheduler4, mesh4):
         transform = RotationTransform(mesh4)
-        moves = scheduler4.moves_for_transform(transform)
-        schedule = scheduler4.schedule(moves)
-        assert schedule.total_moves == len(moves)
+        schedule = scheduler4.schedule_for_transform(transform)
+        scheduled = sorted(source for phase in schedule.phases for source in phase)
+        # The 4x4 rotation has no fixed point: every PE moves.
+        assert scheduled == list(range(mesh4.num_nodes))
 
     def test_local_moves_cost_no_network_time(self, scheduler5, mesh5):
         transform = RotationTransform(mesh5)
         schedule = scheduler5.schedule_for_transform(transform)
-        assert all(not move.is_local for phase in schedule.phases for move in phase)
-        assert len(schedule.local_moves) == 1
+        scheduled = [source for phase in schedule.phases for source in phase]
+        assert mesh5.node_id((2, 2)) not in scheduled
+        assert len(scheduled) == mesh5.num_nodes - 1
 
     def test_total_cycles_positive_and_deterministic(self, scheduler4, mesh4):
         transform = XYShiftTransform(mesh4)
@@ -80,9 +97,15 @@ class TestScheduleCorrectness:
         state = StateTransferModel()
         transform = XYShiftTransform(mesh4)
         schedule = scheduler4.schedule_for_transform(transform)
+        permutation = transform.node_permutation()
         flits = state.payload_flits(0)
         for phase, cycles in zip(schedule.phases, schedule.cycles_per_phase):
-            slowest = max(flits + move.hops * scheduler4.router_pipeline_cycles for move in phase)
+            slowest = max(
+                flits
+                + _hops(mesh4, source, permutation[source])
+                * scheduler4.router_pipeline_cycles
+                for source in phase
+            )
             assert cycles == slowest
 
 
@@ -90,10 +113,8 @@ class TestPhasedVersusNaive:
     def test_phased_schedule_is_faster_than_naive(self, scheduler5, mesh5):
         """The congestion-free phasing must beat full serialisation — this is
         the benefit Section 2.2 claims."""
-        transform = XYShiftTransform(mesh5)
-        moves = scheduler5.moves_for_transform(transform)
-        schedule = scheduler5.schedule(moves)
-        assert schedule.total_cycles < scheduler5.naive_cycles(moves)
+        schedule = scheduler5.schedule_for_transform(XYShiftTransform(mesh5))
+        assert schedule.total_cycles < schedule.serialised_cycles
 
     def test_rotation_schedule_longer_than_shift(self, scheduler5, mesh5):
         """Rotation moves payloads further, so its deterministic migration
@@ -113,15 +134,23 @@ class TestPhasedVersusNaive:
 
 
 class TestPeMove:
-    def test_hops(self):
-        move = PeMove(source=(0, 0), destination=(2, 3), payload_flits=4)
-        assert move.hops == 5
-        assert not move.is_local
+    """A single move, priced by node id (the former ``PeMove`` record)."""
 
-    def test_local_move(self):
-        move = PeMove(source=(1, 1), destination=(1, 1), payload_flits=4)
-        assert move.is_local
-        assert move.hops == 0
+    def test_hops(self, scheduler4, mesh4):
+        source, destination = mesh4.node_id((0, 0)), mesh4.node_id((2, 3))
+        schedule = schedule_moves(
+            scheduler4, np.array([source]), np.array([destination]), np.array([4])
+        )
+        assert schedule.phases == ((source,),)
+        assert schedule.move_cycles == ((scheduler4.move_cycles(4, 5),),)
+
+    def test_local_move(self, scheduler4, mesh4):
+        node = mesh4.node_id((1, 1))
+        schedule = schedule_moves(
+            scheduler4, np.array([node]), np.array([node]), np.array([4])
+        )
+        assert schedule.num_phases == 0
+        assert schedule.total_cycles == 0
 
     def test_scheduler_rejects_bad_pipeline(self, mesh4):
         with pytest.raises(ValueError):

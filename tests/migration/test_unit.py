@@ -27,20 +27,21 @@ class TestMigrationCost:
     def test_cost_components_positive(self, unit4, mesh4):
         cost = unit4.migration_cost(XYShiftTransform(mesh4))
         assert cost.cycles > 0
-        assert cost.total_energy_j > 0
-        assert cost.num_phases >= 1
+        assert cost.energy_j > 0
+        assert unit4.scheduler.schedule_for_transform(XYShiftTransform(mesh4)).num_phases >= 1
 
     def test_energy_distributed_over_units(self, unit4, mesh4):
         cost = unit4.migration_cost(XYShiftTransform(mesh4))
-        assert set(cost.energy_per_unit_j) == set(mesh4.coordinates())
-        assert sum(cost.energy_per_unit_j.values()) == pytest.approx(cost.total_energy_j)
+        assert cost.energy_vector.shape == (mesh4.num_nodes,)
+        assert (cost.energy_vector > 0).all()
+        assert cost.energy_vector.sum() == pytest.approx(cost.energy_j)
 
     def test_rotation_costs_more_energy_than_shift(self, unit5, mesh5):
         """Rotation moves payloads the furthest, giving it the largest energy
         penalty — the mechanism behind the paper's 0.3 degC observation."""
         rotation = unit5.migration_cost(RotationTransform(mesh5))
         shift = unit5.migration_cost(RightShiftTransform(mesh5))
-        assert rotation.total_energy_j > shift.total_energy_j
+        assert rotation.energy_j > shift.energy_j
 
     def test_identity_transform_costs_only_fixed_overhead(self, unit4, mesh4):
         cost = unit4.migration_cost(IdentityTransform(mesh4))
@@ -50,13 +51,13 @@ class TestMigrationCost:
             unit4.fixed_energy_per_pe_j
             + unit4.state_model.payload_flits(0) * unit4.conversion_energy_per_flit_j
         )
-        assert cost.total_energy_j == pytest.approx(transport_free)
+        assert cost.energy_j == pytest.approx(transport_free)
 
     def test_state_size_increases_cost(self, unit4, mesh4):
         small = unit4.migration_cost(XYShiftTransform(mesh4))
         nodes = {coord: 50 for coord in mesh4.coordinates()}
         large = unit4.migration_cost(XYShiftTransform(mesh4), nodes)
-        assert large.total_energy_j > small.total_energy_j
+        assert large.energy_j > small.energy_j
         assert large.cycles >= small.cycles
 
     def test_negative_conversion_energy_rejected(self, mesh4):
