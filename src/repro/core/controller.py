@@ -11,8 +11,7 @@ is a :class:`~repro.migration.plan.MigrationPlan` — the paper's sudden
 migration is a one-stage plan — and every stage runs through one step: a
 gather through the stage's node permutation, one translator compose, one
 event.  An epoch's power row is a scatter of the per-task power array plus
-the stage's energy vector; the :class:`~repro.placement.mapping.Mapping`
-view is built only on demand.
+the stage's energy vector.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..migration.transforms import MigrationTransform
 from ..migration.unit import MigrationUnit
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from ..placement.mapping import Mapping
 
 _OBS_PLANS = _obs_counter("migration.plans")
 _OBS_STAGES = _obs_counter("migration.stages")
@@ -241,11 +239,6 @@ class RuntimeReconfigurationController:
     def current_permutation(self) -> np.ndarray:
         """Read-only ``task -> node id`` array of the current mapping."""
         return self._permutation
-
-    @property
-    def current_mapping(self) -> Mapping:
-        """The current mapping, built from :attr:`current_permutation`."""
-        return Mapping.from_permutation(self.topology, self._permutation.tolist())
 
     def _arm(self, plan: Optional[MigrationPlan], stages=(), next_stage=0) -> None:
         self._active_plan = plan

@@ -5,15 +5,16 @@ credit-flow-controlled mesh NoC with dimension-ordered routing, synthetic and
 trace-driven traffic, and per-router switching-activity counters that feed
 the power and thermal models.
 
-Three evaluation tiers, fastest first:
+Two evaluation tiers, fastest first:
 
 * :mod:`repro.noc.analytic` — closed-form M/D/1-style wormhole model
   (microseconds per point, validated below saturation);
 * :mod:`repro.noc.vector` — the array-native cycle kernel, batched over
   many independent lanes (:mod:`repro.noc.batch` runs whole latency curves
-  as one run);
-* :class:`Network` — the seed object-graph engine, kept as the behavioural
-  specification the vector kernel reproduces exactly.
+  as one run; :class:`NocSimulator` drives one lane).
+
+The object-graph engine the kernel reproduces exactly lives with the tests,
+in ``tests/noc_oracle.py``, as the reference of the parity suite.
 """
 
 from .analytic import (
@@ -24,12 +25,8 @@ from .analytic import (
     saturation_rate,
 )
 from .batch import LatencyCurve, default_rate_grid, latency_curve, run_schedules
-from .buffer import BufferOverflowError, CreditCounter, FlitBuffer
-from .engine import EventQueue, SimulationClock
-from .flit import Flit, FlitType, Packet, PacketClass, reset_packet_ids
-from .link import Link, LinkTable
-from .network import Network
-from .router import Router, RouterActivity
+from .engine import SimulationClock
+from .flit import Packet, PacketClass, reset_packet_ids
 from .routing import (
     OddEvenRouting,
     RoutingAlgorithm,
@@ -40,7 +37,7 @@ from .routing import (
     make_routing,
 )
 from .schedule import TrafficSchedule
-from .simulator import ENGINES, NocSimulator, SimulationResult
+from .simulator import NocSimulator, SimulationResult
 from .stats import LatencyStats, NetworkStats
 from .topology import Coordinate, Direction, MeshTopology
 from .traffic import (
@@ -53,7 +50,7 @@ from .traffic import (
     UniformRandomTraffic,
     make_traffic,
 )
-from .vector import VectorNetwork
+from .vector import RouterActivity, VectorNetwork
 
 __all__ = [
     "AnalyticPoint",
@@ -67,21 +64,10 @@ __all__ = [
     "run_schedules",
     "TrafficSchedule",
     "VectorNetwork",
-    "ENGINES",
-    "BufferOverflowError",
-    "CreditCounter",
-    "FlitBuffer",
-    "EventQueue",
     "SimulationClock",
-    "Flit",
-    "FlitType",
     "Packet",
     "PacketClass",
     "reset_packet_ids",
-    "Link",
-    "LinkTable",
-    "Network",
-    "Router",
     "RouterActivity",
     "RoutingAlgorithm",
     "XYRouting",

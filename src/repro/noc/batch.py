@@ -8,8 +8,7 @@ injection rate becomes a lane, the cycle kernel advances all of them
 together, and the marginal cost of an extra point is a slightly larger
 array operation instead of a whole extra simulation.
 
-:func:`latency_curve` is the high-level entry point (used by
-``benchmarks/bench_noc_throughput.py`` and the scenario cost hooks);
+:func:`latency_curve` is the high-level entry point;
 :func:`run_schedules` is the lane-level primitive for callers that already
 hold :class:`~repro.noc.schedule.TrafficSchedule` arrays — e.g. sweeping
 *patterns* at a fixed rate, or replaying many migration windows at once.

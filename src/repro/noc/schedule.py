@@ -14,12 +14,11 @@ Schedules can be built three ways:
   (the LDPC workload adapter and migration replay path).  The original
   objects are retained so the engine can write ``injection_cycle`` /
   ``ejection_cycle`` back after a run.
-* :meth:`TrafficSchedule.from_generator` — exact replay of a seed
-  per-cycle :class:`~repro.noc.traffic.TrafficGenerator`: the generator's
-  RNG is consumed in the identical order, so the schedule matches the
-  object engine's traffic packet for packet.
-* ``generator.schedule(cycles)`` — the numpy-native fast path (one RNG
-  construction per run; see :mod:`repro.noc.traffic`).
+* :meth:`TrafficSchedule.from_generator` — from any per-cycle source with
+  ``packets_for_cycle`` (a :class:`~repro.noc.traffic.TraceTraffic`),
+  polled cycle by cycle in order.
+* ``generator.schedule(cycles)`` — a synthetic generator's numpy-native
+  path (one RNG construction per run; see :mod:`repro.noc.traffic`).
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class TrafficSchedule:
         )
 
     def to_packets(self, topology: MeshTopology) -> List[Packet]:
-        """Materialise ``Packet`` objects (for driving the object engine)."""
+        """Materialise one ``Packet`` object per row."""
         return [
             Packet(
                 source=topology.coordinate(int(s)),
@@ -119,20 +118,12 @@ class TrafficSchedule:
         """Rows as ``(cycle, src_coord, dst_coord, size)`` tuples.
 
         Feed these to :class:`~repro.noc.traffic.TraceTraffic` to replay the
-        exact same traffic through the object engine — the basis of the
-        engine-parity tests and the benchmark baseline timing.
+        exact same traffic through another engine (the parity tests do).
         """
         return [
             (int(t), topology.coordinate(int(s)), topology.coordinate(int(d)), int(z))
             for t, s, d, z in zip(self.cycle, self.src, self.dst, self.size)
         ]
-
-    def packets_for_cycle_lists(self) -> "dict[int, list]":
-        """Packets grouped by offer cycle (drives TraceTraffic-style replay)."""
-        groups: "dict[int, list]" = {}
-        for index in range(self.num_packets):
-            groups.setdefault(int(self.cycle[index]), []).append(index)
-        return groups
 
     # ------------------------------------------------------------------
     @classmethod
@@ -166,10 +157,9 @@ class TrafficSchedule:
     def from_generator(cls, traffic, topology: MeshTopology, cycles: int) -> "TrafficSchedule":
         """Exact pregeneration from a per-cycle traffic source.
 
-        Calls ``packets_for_cycle`` for every cycle in order, consuming the
-        source's RNG in the identical sequence the object engine would, so
-        the resulting schedule is packet-for-packet identical to what the
-        seed simulator sees.
+        Calls ``packets_for_cycle`` for every cycle in order, so the
+        schedule is packet-for-packet what a cycle-by-cycle driver of the
+        same source would offer.
         """
         packets: List[Packet] = []
         for cycle in range(cycles):

@@ -1,45 +1,37 @@
 """High-level cycle-accurate simulation driver.
 
-:class:`NocSimulator` couples a mesh network engine with a traffic source
-(synthetic generator, trace, or the LDPC workload adapter) and runs warm-up /
-measurement phases, reporting a :class:`SimulationResult` that bundles the
-performance statistics and the per-router activity counters the power model
-consumes.
+:class:`NocSimulator` couples the array-native
+:class:`~repro.noc.vector.VectorNetwork` cycle kernel with a traffic source
+(a synthetic generator, a trace, or explicit packet batches such as the
+LDPC workload's iteration messages and a migration's CONFIG packets), runs
+warm-up / measurement phases and reports a :class:`SimulationResult` that
+bundles the performance statistics and the per-router activity counters the
+power model consumes.
 
-Two engines are available, mirroring ``make_decoder(backend=)`` on the LDPC
-side:
-
-* ``engine="vector"`` (default) — the array-native
-  :class:`~repro.noc.vector.VectorNetwork` cycle kernel.  Traffic is
-  pregenerated into a :class:`~repro.noc.schedule.TrafficSchedule` (via the
-  generator's numpy-native ``schedule()`` when available, else by exact
-  replay of ``packets_for_cycle``) and the whole run advances with NumPy
-  array operations.
-* ``engine="object"`` — the seed per-cycle object loop
-  (:class:`~repro.noc.network.Network`), kept as the behavioural
-  specification.  The vector engine reproduces its statistics exactly on
-  identical traffic (see ``tests/noc/test_vector_engine.py``).
+Traffic is pregenerated into a :class:`~repro.noc.schedule.TrafficSchedule`
+— through a generator's numpy-native ``schedule()``, or by replaying a
+trace's ``packets_for_cycle`` — and the whole run advances with NumPy array
+operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from typing import Dict, Protocol
 
-from .engine import SimulationClock
 from .flit import Packet
-from .network import Network
-from .router import RouterActivity
 from .schedule import TrafficSchedule
 from .stats import NetworkStats
 from .topology import Coordinate, MeshTopology
-from .vector import VectorNetwork
-
-ENGINES = ("object", "vector")
+from .vector import RouterActivity, VectorNetwork
 
 
 class TrafficSource(Protocol):
-    """Anything that can offer packets for a given cycle."""
+    """Anything that can offer packets for a given cycle.
+
+    A synthetic generator's ``schedule(cycles)`` is used instead when the
+    source has one.
+    """
 
     def packets_for_cycle(self, cycle: int) -> "list[Packet]":  # pragma: no cover
         ...
@@ -77,24 +69,30 @@ class SimulationResult:
 
 
 class NocSimulator:
-    """Runs a network against a traffic source for a bounded interval."""
+    """Runs the vector kernel against a traffic source for a bounded interval."""
 
-    def __init__(
-        self,
-        topology: MeshTopology,
-        routing: str = "xy",
-        buffer_depth: int = 4,
-        clock: Optional[SimulationClock] = None,
-        engine: str = "vector",
-    ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    def __init__(self, topology: MeshTopology, routing: str = "xy", buffer_depth: int = 4):
         self.topology = topology
         self.routing = routing
         self.buffer_depth = buffer_depth
-        self.engine = engine
-        self.network = Network(topology, routing=routing, buffer_depth=buffer_depth)
-        self.clock = clock or SimulationClock()
+
+    def _network(self, schedule: TrafficSchedule) -> VectorNetwork:
+        return VectorNetwork(
+            self.topology,
+            [schedule],
+            routing=self.routing,
+            buffer_depth=self.buffer_depth,
+        )
+
+    @staticmethod
+    def _result(net: VectorNetwork, cycles: int, drained: bool) -> SimulationResult:
+        return SimulationResult(
+            cycles=cycles,
+            stats=net.lane_stats(0),
+            router_activity=net.lane_activity(0),
+            link_flits=net.lane_link_flits(0),
+            drained=drained,
+        )
 
     # ------------------------------------------------------------------
     def run_traffic(
@@ -114,78 +112,21 @@ class NocSimulator:
         are simulated — an iteration is complete only when all its messages
         have been delivered.
         """
-        if self.engine == "vector":
-            return self._run_traffic_vector(
-                traffic, cycles, warmup_cycles, drain, drain_limit
-            )
-        network = self.network
-        for cycle in range(warmup_cycles):
-            for packet in traffic.packets_for_cycle(cycle):
-                network.inject(packet)
-            network.step()
-        # Reset measurement state after warm-up but keep in-flight traffic.
-        network.stats.reset()
-        network.reset_activity()
-
-        for offset in range(cycles):
-            cycle = warmup_cycles + offset
-            for packet in traffic.packets_for_cycle(cycle):
-                network.inject(packet)
-            network.step()
-
-        drained = False
-        if drain:
-            network.drain(max_cycles=drain_limit)
-            drained = True
-
-        return SimulationResult(
-            cycles=network.stats.cycles,
-            stats=network.stats,
-            router_activity=network.router_activity(),
-            link_flits=network.links.total_flits(),
-            drained=drained,
-        )
-
-    def _run_traffic_vector(
-        self,
-        traffic: TrafficSource,
-        cycles: int,
-        warmup_cycles: int,
-        drain: bool,
-        drain_limit: int,
-    ) -> SimulationResult:
         horizon = warmup_cycles + cycles
         schedule_fn = getattr(traffic, "schedule", None)
         if callable(schedule_fn):
             schedule = schedule_fn(horizon)
         else:
             schedule = TrafficSchedule.from_generator(traffic, self.topology, horizon)
-        schedule = schedule.limited_to(horizon)
-
-        net = VectorNetwork(
-            self.topology,
-            [schedule],
-            routing=self.routing,
-            buffer_depth=self.buffer_depth,
-        )
+        net = self._network(schedule.limited_to(horizon))
         net.run(warmup_cycles)
         net.reset_measurement()
         net.run(cycles)
-        drained = False
         if drain:
             net.drain(max_cycles=drain_limit)
-            drained = True
         net.write_back_packets()
-        stats = net.lane_stats(0)
-        return SimulationResult(
-            cycles=stats.cycles,
-            stats=stats,
-            router_activity=net.lane_activity(0),
-            link_flits=net.lane_link_flits(0),
-            drained=drained,
-        )
+        return self._result(net, int(net.cycles[0]), drain)
 
-    # ------------------------------------------------------------------
     def run_packets(
         self,
         packets: "list[Packet]",
@@ -197,43 +138,7 @@ class NocSimulator:
         variable-to-check (or check-to-variable) messages are produced
         together, and the sub-iteration ends when the last one is delivered.
         """
-        if self.engine == "vector":
-            schedule = TrafficSchedule.from_packets(packets, self.topology, cycle=0)
-            net = VectorNetwork(
-                self.topology,
-                [schedule],
-                routing=self.routing,
-                buffer_depth=self.buffer_depth,
-            )
-            run_cycles = net.drain(max_cycles=drain_limit)
-            net.write_back_packets()
-            stats = net.lane_stats(0)
-            return SimulationResult(
-                cycles=run_cycles,
-                stats=stats,
-                router_activity=net.lane_activity(0),
-                link_flits=net.lane_link_flits(0),
-                drained=True,
-            )
-        network = self.network
-        network.stats.reset()
-        network.reset_activity()
-        for packet in packets:
-            network.inject(packet)
-        run_cycles = network.drain(max_cycles=drain_limit)
-        # ``drain`` already stepped the network; stats.cycles tracked them.
-        return SimulationResult(
-            cycles=run_cycles,
-            stats=network.stats,
-            router_activity=network.router_activity(),
-            link_flits=network.links.total_flits(),
-            drained=True,
-        )
-
-    def reset(self) -> None:
-        """Reset the underlying network to a pristine state.
-
-        The vector engine builds fresh state for every run, so this only
-        touches the persistent object network.
-        """
-        self.network.reset()
+        net = self._network(TrafficSchedule.from_packets(packets, self.topology, cycle=0))
+        run_cycles = net.drain(max_cycles=drain_limit)
+        net.write_back_packets()
+        return self._result(net, run_cycles, True)

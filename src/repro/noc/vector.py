@@ -1,10 +1,16 @@
 """Array-native cycle kernel for the wormhole mesh NoC.
 
-:class:`VectorNetwork` advances the same credit-flow wormhole mesh as
-:class:`~repro.noc.network.Network`, but holds *all* router state as
-struct-of-arrays and advances a whole cycle — for a whole **batch of
-independent simulations** ("lanes") of the same mesh — with NumPy array
-operations:
+:class:`VectorNetwork` simulates a credit-flow-controlled wormhole mesh:
+every router has five ports (LOCAL, EAST, WEST, NORTH, SOUTH), each input
+port owns a flit FIFO, each output port a credit counter mirroring the free
+space downstream and a wormhole owner, and per cycle every router computes
+routes for new head flits, grants each output port to at most one input
+(round-robin among contenders) and applies all traversals atomically, so a
+flit moves at most one hop per cycle.
+
+The kernel holds *all* router state as struct-of-arrays and advances a
+whole cycle — for a whole **batch of independent simulations** ("lanes")
+of the same mesh — with NumPy array operations:
 
 * input-FIFO occupancy as circular-buffer matrices of shape
   ``(lanes, nodes, ports, depth)`` plus head-pointer/length matrices;
@@ -25,16 +31,15 @@ not touched inside the cycle loop at all — each cycle appends its winner /
 writer / ejection index arrays to event logs that are reduced with a single
 ``bincount`` pass when results are read.
 
-The seed :class:`~repro.noc.network.Network` remains the behavioural
-specification: the kernel reproduces its per-cycle semantics *exactly* —
-same round-robin pointer updates (the pointer only advances when an output
-port actually saw contention), same credit timing, same injection
-bookkeeping (a packet is dequeued before the buffer-space check, so a full
-local buffer stalls the same packet the object engine stalls), same
-ejection order (routers in row-major order within a cycle).  The parity
-suite in ``tests/noc/test_vector_engine.py`` pins per-packet latencies,
-ejection order, router activity counters and stalled-injection counts
-against the object engine on identical traffic.
+The per-cycle semantics are pinned exactly: the round-robin pointer only
+advances when an output port actually saw contention, credits return the
+cycle a flit leaves a buffer, a packet is dequeued before the buffer-space
+check (so a full local buffer stalls that packet), and routers eject in
+row-major order within a cycle.  The parity suite in
+``tests/noc/test_vector_engine.py`` compares per-packet latencies, ejection
+order, router activity counters and stalled-injection counts with ``==``
+against the object-graph engine in ``tests/noc_oracle.py`` on identical
+traffic.
 
 Traffic enters as :class:`~repro.noc.schedule.TrafficSchedule` arrays, one
 schedule per lane.  Multi-lane batches are how the latency curve becomes
@@ -44,13 +49,13 @@ in lockstep (see :mod:`repro.noc.batch`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from .router import RouterActivity
 from .routing import RoutingAlgorithm, make_routing
 from .schedule import PACKET_CLASS_FROM_CODE, TrafficSchedule
 from .stats import LatencyStats, NetworkStats
@@ -58,6 +63,19 @@ from .topology import Coordinate, Direction, MeshTopology
 
 #: Number of router ports (LOCAL, EAST, WEST, NORTH, SOUTH).
 NUM_PORTS = 5
+
+
+@dataclass
+class RouterActivity:
+    """Per-router switching-activity counters consumed by the power model."""
+
+    flits_routed: int = 0
+    headers_decoded: int = 0
+    buffer_reads: int = 0
+    buffer_writes: int = 0
+    crossbar_traversals: int = 0
+    link_traversals: int = 0
+    arbitration_rounds: int = 0
 _LOCAL = int(Direction.LOCAL)
 
 #: Bits reserved for the flit index inside a packed buffer entry.
@@ -115,7 +133,7 @@ class VectorNetwork:
         simulations advanced in lockstep.
     routing:
         Routing algorithm name or instance (deterministic first-candidate
-        decision, like the object engine).
+        decision).
     buffer_depth:
         Input FIFO depth per router port, in flits.
     """
@@ -191,8 +209,7 @@ class VectorNetwork:
         self.buf_head = np.zeros((B, N, P), dtype=np.int64)
         self.buf_len = np.zeros((B, N, P), dtype=np.int64)
         # Credits for every output port; unconnected ports keep zero credits
-        # and are never routed toward, matching the object router which does
-        # not instantiate them at all.
+        # and are never routed toward.
         connected = self.tables.port_pos >= 0
         self.credits = np.where(connected, D, 0).astype(np.int64)[None].repeat(B, axis=0)
         self.owner = np.full((B, N, P), -1, dtype=np.int64)
@@ -229,8 +246,8 @@ class VectorNetwork:
     def reset_measurement(self) -> None:
         """Zero statistics and activity counters, keeping traffic in flight.
 
-        Equivalent to ``network.stats.reset()`` + ``network.reset_activity()``
-        at the warmup/measurement boundary of the object engine.
+        This is the warm-up/measurement boundary: packets injected during
+        warm-up keep flowing and may eject inside the measurement.
         """
         self.cycles.fill(0)
         for log in (
@@ -457,8 +474,8 @@ class VectorNetwork:
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Step until every lane is idle; returns the cycles used.
 
-        Per-lane cycle counters freeze as soon as that lane drains, matching
-        per-network ``Network.drain`` runs.  Raises ``RuntimeError`` when any
+        Per-lane cycle counters freeze as soon as that lane drains, as if
+        each lane were drained on its own.  Raises ``RuntimeError`` when any
         lane fails to drain within ``max_cycles``.
         """
         used = 0
@@ -532,14 +549,13 @@ class VectorNetwork:
     def ejection_order(self, lane: int) -> np.ndarray:
         """Packet-table indices in ejection order for one lane.
 
-        Within a cycle the order is row-major over routers, exactly like the
-        object network's traversal-application order.
+        Within a cycle the order is row-major over routers.
         """
         pkts = self._aggregate()["ej_order"]
         return pkts[self.pkt_lane[pkts] == lane]
 
     def lane_stats(self, lane: int) -> NetworkStats:
-        """Assemble a :class:`NetworkStats` identical to the object engine's."""
+        """Assemble the lane's :class:`NetworkStats`."""
         agg = self._aggregate()
         stats = NetworkStats()
         stats.cycles = int(self.cycles[lane])
@@ -582,9 +598,9 @@ class VectorNetwork:
         """Per-router activity counters for one lane.
 
         ``flits_routed``, ``buffer_reads``, ``crossbar_traversals`` and
-        ``arbitration_rounds`` always advance together in the object router
-        (every arbitrated output pops exactly one flit), so all four map to
-        the switch-winner count.
+        ``arbitration_rounds`` always advance together (every arbitrated
+        output pops exactly one flit), so all four map to the switch-winner
+        count.
         """
         agg = self._aggregate()
         result: Dict[Coordinate, RouterActivity] = {}

@@ -77,6 +77,11 @@ class TestTable1:
     def test_rows_match_paper(self):
         rows = table1_rows(mesh_size=4)
         by_operation = {row["operation"]: row for row in rows}
+        assert by_operation["Rotation"] == {
+            "operation": "Rotation",
+            "new_x": "4-1-Y",
+            "new_y": "X",
+        }
         assert by_operation["Rotation"]["new_x"] == "4-1-Y"
         assert by_operation["Rotation"]["new_y"] == "X"
         assert by_operation["X Mirroring"]["new_x"] == "4-1-X"

@@ -40,6 +40,18 @@ class TestScenarioRunner:
                 s.experiment.settled_peak_celsius, abs=1e-12
             )
 
+    def test_registry_suite_on_every_core_matches_serial(self):
+        from repro.scenarios import all_scenarios
+
+        specs = all_scenarios()
+        serial = compare_scenarios(specs)
+        parallel = compare_scenarios(specs, n_jobs=-1)
+        assert serial.names() == parallel.names() == [spec.name for spec in specs]
+        for s, p in zip(serial.results, parallel.results):
+            assert p.experiment.settled_peak_celsius == pytest.approx(
+                s.experiment.settled_peak_celsius, abs=1e-12
+            )
+
     def test_parallel_suite_runs_on_threads(self, monkeypatch):
         # The scenario hot paths release the GIL and share process-wide
         # caches, so suites fan out over threads of this process.

@@ -45,6 +45,26 @@ class TestPeriodSweep:
         assert abs(rises[437.2]) < 0.5
         assert abs(rises[874.4]) < 1.0
 
+    def test_one_batched_solve_per_period(self):
+        """A steady sweep is one multi-RHS solve per experiment against the
+        construction-time factorisation: no per-epoch solve, no step-matrix
+        factorisation."""
+        from repro.chips import get_configuration
+
+        chip = get_configuration("A")
+        solver = chip.thermal_model.solver
+        solves_before = solver.steady_solve_count
+        factorizations_before = solver.step_factorization_count
+        run_period_sweep(
+            chip,
+            scheme="xy-shift",
+            periods_us=PAPER_PERIODS_US,
+            mode="steady",
+            num_epochs=41,
+        )
+        assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
+        assert solver.step_factorization_count == factorizations_before
+
     def test_format_table(self, sweep_a):
         text = sweep_a.format_table()
         assert "109.0" in text

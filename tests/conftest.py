@@ -8,9 +8,11 @@ import pytest
 from repro.chips import get_configuration
 from repro.ldpc import LdpcEncoder, TannerGraph, array_code_parity_matrix, striped_partition
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
-from repro.noc import MeshTopology, Network, NocSimulator
+from repro.noc import MeshTopology, NocSimulator
 from repro.placement import Mapping
 from repro.thermal import HotSpotModel
+
+from noc_oracle import Network
 
 
 @pytest.fixture
@@ -33,7 +35,7 @@ def mesh3x2() -> MeshTopology:
 
 @pytest.fixture
 def network4(mesh4) -> Network:
-    """An XY-routed 4x4 network."""
+    """An XY-routed 4x4 network of the reference object engine."""
     return Network(mesh4, routing="xy", buffer_depth=4)
 
 

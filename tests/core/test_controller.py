@@ -27,13 +27,16 @@ def controller_a(chip_a):
 
 class TestMigrationApplication:
     def test_starts_at_static_mapping(self, controller_a, chip_a):
-        assert controller_a.current_mapping == chip_a.static_mapping
+        assert (
+            controller_a.current_permutation.tolist()
+            == chip_a.static_mapping.to_permutation()
+        )
 
     def test_apply_migration_updates_mapping(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
         controller_a.apply_migration(transform)
         expected = chip_a.static_mapping.apply_transform(transform)
-        assert controller_a.current_mapping == expected
+        assert controller_a.current_permutation.tolist() == expected.to_permutation()
         assert controller_a.migrations_performed == 1
 
     def test_migration_history_accumulates(self, controller_a, chip_a):
@@ -63,7 +66,10 @@ class TestMigrationApplication:
     def test_reset(self, controller_a, chip_a):
         controller_a.apply_migration(XYShiftTransform(chip_a.topology))
         controller_a.reset()
-        assert controller_a.current_mapping == chip_a.static_mapping
+        assert (
+            controller_a.current_permutation.tolist()
+            == chip_a.static_mapping.to_permutation()
+        )
         assert controller_a.migrations_performed == 0
         assert controller_a.io_translator.migrations_applied == 0
 
@@ -81,6 +87,21 @@ class TestMigrationCostCache:
         assert controller_a.migration_cost_computations == 4
         assert controller_a.migration_cache_hits == 8
         assert controller_a.migrations_performed == 12
+
+    def test_periodic_experiment_engages_the_cache(self, chip_a):
+        """41 epochs of xy-shift (order 4 on the 4x4 mesh): 40 migrations
+        from 4 computed plans."""
+        from repro.core.experiment import ExperimentSettings, ThermalExperiment
+        from repro.core.policy import PeriodicMigrationPolicy
+
+        policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
+        settings = ExperimentSettings(num_epochs=41, mode="steady", settle_epochs=40)
+        experiment = ThermalExperiment(chip_a, policy, settings=settings)
+        experiment.run()
+        controller = experiment.controller
+        assert controller.migrations_performed == 40
+        assert controller.migration_cost_computations <= 4
+        assert controller.migration_cache_hits >= 36
 
     def test_cache_survives_reset(self, controller_a, chip_a):
         """Costs are pure functions of (transform, mapping): reuse across runs."""
@@ -105,7 +126,9 @@ class TestMigrationCostCache:
         transform = make_transform(scheme, configuration.topology)
         laps = 3
         for _ in range(laps * transform.order()):
-            nodes_per_pe = configuration.tanner_nodes_per_pe(controller.current_mapping)
+            nodes_per_pe = migration_oracle.tanner_nodes_per_pe(
+                configuration, controller.current_permutation
+            )
             cost = controller.apply_migration(transform)
             (fresh,) = migration_oracle.lower(unit, transform, nodes_per_pe)
             assert cost.cycles == fresh.cycles

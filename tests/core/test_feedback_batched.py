@@ -308,6 +308,27 @@ class TestSolveCounts:
         assert solver.steady_solve_count - before == chunks + 1
         assert experiment.feedback_plan.batch_solves == chunks
 
+    def test_forty_epoch_budget_keeps_the_per_epoch_decisions(self):
+        """40 epochs at k=4: ceil(40/4) = 10 feedback batches plus the one
+        metrics batch, against 1 + 40 solves for the per-epoch loop, and
+        the same decisions under constant load."""
+        chip = get_configuration("A")
+        solver = chip.thermal_model.solver
+        settings = ExperimentSettings(
+            num_epochs=40, mode="steady", settle_epochs=39, feedback_stride=4
+        )
+        reference_epochs = _reference_feedback_epochs(
+            chip, _threshold(chip), settings, chip.thermal_model
+        )
+        before = solver.steady_solve_count
+        experiment = ThermalExperiment(chip, _threshold(chip), settings=settings)
+        result = experiment.run()
+        assert solver.steady_solve_count - before <= 10 + 1
+        assert experiment.feedback_plan.batch_solves == 10
+        assert [record.transform_applied for record in result.epochs] == [
+            name for _power, _cost, name in reference_epochs
+        ]
+
     @pytest.mark.parametrize("stride", [1, 4])
     def test_transient_feedback_solve_budget(self, stride):
         chip = get_configuration("A")

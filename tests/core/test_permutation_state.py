@@ -91,8 +91,10 @@ def _relocation(topology, stage):
 
 def _check(controller, reference, cost) -> None:
     permutation = controller.current_permutation
-    assert permutation.tolist() == controller.current_mapping.to_permutation()
-    assert controller.current_mapping.physical_of_task == reference.mapping
+    assert {
+        task: controller.topology.coordinate(int(node))
+        for task, node in enumerate(permutation)
+    } == reference.mapping
     translator = controller.io_translator
     for original, current in reference.current_of_original.items():
         assert translator.current_location(original) == current

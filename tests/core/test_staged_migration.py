@@ -175,7 +175,7 @@ class TestStagedExecution:
             # Drain the in-flight plan so every style completes its one plan.
             while experiment.controller.migration_in_progress:
                 experiment.controller.advance_plan()
-            return experiment.controller.current_mapping.to_permutation()
+            return experiment.controller.current_permutation.tolist()
 
         sudden = final_mapping("sudden", 2)
         assert final_mapping("fluid", 1) == sudden
@@ -235,6 +235,27 @@ class TestStagedExecution:
         before = solver.steady_solve_count
         experiment.run()
         assert solver.steady_solve_count - before == 1
+
+
+    def test_one_cycle_per_epoch_fluid_keeps_one_solve(self, chip_a):
+        """The maximally staged plan (one permutation cycle per epoch) still
+        costs one batched steady solve, as the sudden run does, and spans
+        several epochs per plan."""
+        solver = chip_a.thermal_model.solver
+
+        def run(style):
+            policy = PeriodicMigrationPolicy(chip_a.topology, "rotation", period_us=109.0)
+            settings = ExperimentSettings(
+                num_epochs=64, settle_epochs=32, migration_style=style, units_per_epoch=1
+            )
+            before = solver.steady_solve_count
+            result = ThermalExperiment(chip_a, policy, settings=settings).run()
+            return result, solver.steady_solve_count - before
+
+        sudden, sudden_solves = run("sudden")
+        fluid, fluid_solves = run("fluid")
+        assert sudden_solves == fluid_solves == 1
+        assert 0 < fluid.migrations_performed < sudden.migrations_performed
 
 
 class TestCyclesRunCheckpoint:

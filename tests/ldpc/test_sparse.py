@@ -139,6 +139,21 @@ class TestFusedCheckNodeKernels:
         H = self._irregular_matrix()
         assert EdgeStructure(TannerGraph(H)).uniform_check_degree is None
 
+    def test_syndrome_matches_segment_reduceat(self):
+        """The precomputed CSR parity operator equals gathering each edge's
+        bit and segment-summing per check, batched over 64 words."""
+        graph = TannerGraph(array_code_parity_matrix(p=17, j=3, k=6))
+        edges = EdgeStructure(graph)
+        rng = np.random.default_rng(11)
+        hard = (rng.random((64, graph.n)) < 0.5).astype(np.uint8)
+        expected = (
+            np.add.reduceat(
+                hard[:, edges.edge_var].astype(np.int64), edges.check_ptr, axis=1
+            )
+            & 1
+        )
+        assert np.array_equal(edges.syndrome(hard), expected)
+
     def test_segment_signs_match_float_reduceat(self):
         graph = TannerGraph(self._irregular_matrix())
         edges = EdgeStructure(graph)

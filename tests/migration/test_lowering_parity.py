@@ -133,5 +133,9 @@ def test_paper_chips_equal_oracle(chip, scheme):
     for style in MIGRATION_STYLES:
         for units in (1, 2, 3):
             assert_plan_matches_oracle(
-                unit, transform, configuration.tanner_nodes_per_pe(), style, units
+                unit,
+                transform,
+                migration_oracle.tanner_nodes_per_pe(configuration),
+                style,
+                units,
             )

@@ -1,5 +1,8 @@
 """Tests for congestion-free migration scheduling."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from repro.migration.transforms import (
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.routing import XYRouting
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from migration_oracle import tanner_nodes_per_pe  # noqa: E402
 
 
 @pytest.fixture
@@ -127,7 +133,7 @@ class TestPhasedVersusNaive:
         """The whole migration must fit comfortably inside the paper's
         shortest period (109 us = 54 500 cycles at 500 MHz), otherwise the
         reported ~1.6 % throughput penalty would be impossible."""
-        nodes = chip_e.tanner_nodes_per_pe()
+        nodes = tanner_nodes_per_pe(chip_e)
         schedule = scheduler5.schedule_for_transform(XYShiftTransform(mesh5), nodes)
         period_cycles = chip_e.block_period_cycles(109.0)
         assert schedule.total_cycles < 0.2 * period_cycles

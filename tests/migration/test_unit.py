@@ -1,5 +1,8 @@
 """Tests for the migration unit cost model."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.migration.transforms import (
@@ -10,7 +13,10 @@ from repro.migration.transforms import (
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.flit import PacketClass
-from repro.noc.network import Network
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from migration_oracle import tanner_nodes_per_pe  # noqa: E402
+from noc_oracle import Network  # noqa: E402
 
 
 @pytest.fixture
@@ -77,7 +83,7 @@ class TestThroughputPenalty:
         874.4 us -> <0.2 %.  Quadrupling the period must cut the penalty by
         roughly four."""
         transform = XYShiftTransform(mesh5)
-        nodes = chip_e.tanner_nodes_per_pe()
+        nodes = tanner_nodes_per_pe(chip_e)
         p109 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(109.0), nodes)
         p437 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(437.2), nodes)
         p874 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(874.4), nodes)
@@ -87,7 +93,7 @@ class TestThroughputPenalty:
 
     def test_penalty_magnitude_near_paper(self, unit4, mesh4, chip_a):
         """At the 109 us period the penalty should be a few percent at most."""
-        nodes = chip_a.tanner_nodes_per_pe()
+        nodes = tanner_nodes_per_pe(chip_a)
         penalty = unit4.throughput_penalty(
             XYShiftTransform(mesh4), chip_a.block_period_cycles(109.0), nodes
         )

@@ -314,3 +314,15 @@ def node_step(topology, moves: Sequence[PeMove]) -> np.ndarray:
     for move in moves:
         step[topology.node_id(move.source)] = topology.node_id(move.destination)
     return step
+
+
+def tanner_nodes_per_pe(configuration, permutation=None) -> Dict[Coordinate, int]:
+    """Tanner nodes hosted at each PE when task ``t`` sits on node
+    ``permutation[t]`` (default: the chip's static mapping)."""
+    if permutation is None:
+        permutation = configuration.static_mapping.to_permutation()
+    topology = configuration.topology
+    return {
+        topology.coordinate(int(permutation[task])): count
+        for task, count in configuration.tanner_nodes_per_task().items()
+    }

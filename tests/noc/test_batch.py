@@ -22,7 +22,7 @@ class TestRunSchedules:
             topology, schedules, cycles=200, warmup_cycles=50
         )
         for schedule, result in zip(schedules, batched):
-            single = NocSimulator(topology, engine="vector").run_traffic(
+            single = NocSimulator(topology).run_traffic(
                 _Replay(schedule), cycles=200, warmup_cycles=50
             )
             assert result.cycles == single.cycles
@@ -63,6 +63,25 @@ class TestLatencyCurve:
         # Latency grows toward saturation.
         assert curve.avg_latency[-1] > 1.5 * curve.avg_latency[0]
         assert np.all(curve.throughput_flits_per_cycle >= 0)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_uniform_curve_rises_over_the_default_grid(self, size):
+        """32 operating points, one lane each: latency and delivered
+        throughput both grow from the lightest to the heaviest load."""
+        topology = MeshTopology(size, size)
+        rates = default_rate_grid(topology, num_points=32)
+        schedules = [
+            make_traffic(
+                "uniform", topology, injection_rate=float(rate), seed=11 + index
+            ).schedule(700)
+            for index, rate in enumerate(rates)
+        ]
+        results = run_schedules(topology, schedules, cycles=600, warmup_cycles=100)
+        assert results[0].average_latency <= results[-1].average_latency + 1.0
+        assert (
+            results[0].throughput_flits_per_cycle
+            < results[-1].throughput_flits_per_cycle
+        )
 
     def test_explicit_rates_and_pattern_kwargs(self):
         topology = MeshTopology(4, 4)

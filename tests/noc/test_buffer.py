@@ -1,13 +1,23 @@
-"""Tests for flit buffers and credit counters."""
+"""Tests for the reference engine's flit buffers and credit counters."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.noc.buffer import BufferOverflowError, CreditCounter, FlitBuffer
 from repro.noc.flit import Packet
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import (  # noqa: E402
+    BufferOverflowError,
+    CreditCounter,
+    FlitBuffer,
+    make_flits,
+)
 
 
 def _flit():
-    return Packet(source=(0, 0), destination=(1, 1), size_flits=1).make_flits()[0]
+    return make_flits(Packet(source=(0, 0), destination=(1, 1), size_flits=1))[0]
 
 
 class TestFlitBuffer:

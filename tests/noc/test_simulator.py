@@ -59,11 +59,10 @@ class TestRunPackets:
         assert result.stats.packets_ejected == 2
         assert result.cycles > 0
 
-    def test_reset_between_batches(self, simulator4):
+    def test_batches_are_independent(self, simulator4):
         first = simulator4.run_packets(
             [Packet(source=(0, 0), destination=(1, 0), size_flits=2)]
         )
-        simulator4.reset()
         second = simulator4.run_packets(
             [Packet(source=(0, 0), destination=(1, 0), size_flits=2)]
         )

@@ -1,4 +1,12 @@
-"""Tests for the synthetic traffic generators."""
+"""Tests for the synthetic traffic generators.
+
+The pattern tests drive each generator through the reference engine's
+per-cycle ``random.Random`` replay (``noc_oracle.SeedTraffic``), which the
+parity suites feed to both engines.
+"""
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +20,9 @@ from repro.noc.traffic import (
     UniformRandomTraffic,
     make_traffic,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import SeedTraffic  # noqa: E402
 
 
 class TestValidation:
@@ -34,33 +45,35 @@ class TestValidation:
 
 class TestPatterns:
     def test_uniform_never_self(self, mesh4):
-        traffic = UniformRandomTraffic(mesh4, injection_rate=1.0, seed=3)
+        traffic = SeedTraffic(UniformRandomTraffic(mesh4, injection_rate=1.0, seed=3))
         for _ in range(20):
             for packet in traffic.packets_for_cycle(0):
                 assert packet.source != packet.destination
 
     def test_transpose_destination(self, mesh4):
-        traffic = TransposeTraffic(mesh4, injection_rate=1.0, seed=1)
+        traffic = SeedTraffic(TransposeTraffic(mesh4, injection_rate=1.0, seed=1))
         packets = traffic.packets_for_cycle(0)
         for packet in packets:
             x, y = packet.source
             assert packet.destination == (y, x)
 
     def test_bit_complement_destination(self, mesh4):
-        traffic = BitComplementTraffic(mesh4, injection_rate=1.0, seed=1)
+        traffic = SeedTraffic(BitComplementTraffic(mesh4, injection_rate=1.0, seed=1))
         for packet in traffic.packets_for_cycle(0):
             x, y = packet.source
             assert packet.destination == (3 - x, 3 - y)
 
     def test_neighbor_traffic_one_hop(self, mesh5):
-        traffic = NeighborTraffic(mesh5, injection_rate=1.0, seed=5)
+        traffic = SeedTraffic(NeighborTraffic(mesh5, injection_rate=1.0, seed=5))
         for packet in traffic.packets_for_cycle(0):
             assert mesh5.manhattan_distance(packet.source, packet.destination) == 1
 
     def test_hotspot_bias(self, mesh4):
         hotspot = (2, 2)
-        traffic = HotspotTraffic(
-            mesh4, injection_rate=1.0, hotspots=[hotspot], hotspot_fraction=0.9, seed=7
+        traffic = SeedTraffic(
+            HotspotTraffic(
+                mesh4, injection_rate=1.0, hotspots=[hotspot], hotspot_fraction=0.9, seed=7
+            )
         )
         packets = []
         for cycle in range(30):
@@ -69,15 +82,15 @@ class TestPatterns:
         assert to_hotspot > len(packets) * 0.5
 
     def test_injection_rate_controls_volume(self, mesh4):
-        low = UniformRandomTraffic(mesh4, injection_rate=0.05, seed=1)
-        high = UniformRandomTraffic(mesh4, injection_rate=0.8, seed=1)
+        low = SeedTraffic(UniformRandomTraffic(mesh4, injection_rate=0.05, seed=1))
+        high = SeedTraffic(UniformRandomTraffic(mesh4, injection_rate=0.8, seed=1))
         low_count = sum(len(low.packets_for_cycle(c)) for c in range(50))
         high_count = sum(len(high.packets_for_cycle(c)) for c in range(50))
         assert high_count > low_count * 3
 
     def test_seeded_reproducibility(self, mesh4):
-        a = UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42)
-        b = UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42)
+        a = SeedTraffic(UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42))
+        b = SeedTraffic(UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42))
         for cycle in range(10):
             pa = [(p.source, p.destination) for p in a.packets_for_cycle(cycle)]
             pb = [(p.source, p.destination) for p in b.packets_for_cycle(cycle)]
@@ -123,5 +136,5 @@ class TestFactory:
 
     def test_packets_are_data_class(self, mesh4):
         generator = make_traffic("uniform", mesh4, injection_rate=1.0, seed=2)
-        for packet in generator.packets_for_cycle(0):
+        for packet in SeedTraffic(generator).packets_for_cycle(0):
             assert packet.packet_class == PacketClass.DATA

@@ -1,5 +1,8 @@
 """Tests for array-form traffic schedules and the numpy generation path."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,9 @@ from repro.noc.flit import PacketClass
 from repro.noc.schedule import PACKET_CLASS_CODES, TrafficSchedule
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import make_traffic
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import SeedTraffic  # noqa: E402
 
 PATTERNS = [
     ("uniform", {}),
@@ -123,13 +129,13 @@ class TestScheduleContainer:
             assert np.array_equal(getattr(rebuilt, column), getattr(sched, column))
 
     def test_from_generator_matches_per_cycle_path(self):
-        """Exact replay: same packets the object engine would see."""
+        """Exact replay: the packets a cycle-by-cycle driver would offer."""
         topology = MeshTopology(4, 4)
         replayed = TrafficSchedule.from_generator(
-            make_traffic("uniform", topology, 0.2, seed=8), topology, 80
+            SeedTraffic(make_traffic("uniform", topology, 0.2, seed=8)), topology, 80
         )
         manual = []
-        gen = make_traffic("uniform", topology, 0.2, seed=8)
+        gen = SeedTraffic(make_traffic("uniform", topology, 0.2, seed=8))
         for cycle in range(80):
             manual.extend(gen.packets_for_cycle(cycle))
         assert replayed.num_packets == len(manual)

@@ -1,27 +1,36 @@
 """Engine parity: the vector kernel must reproduce the object engine exactly.
 
-The object-graph :class:`~repro.noc.network.Network` is the behavioural
-specification; :class:`~repro.noc.vector.VectorNetwork` is the array-native
-rewrite.  On identical traffic the two must agree on *everything* the
+The object-graph engine in ``tests/noc_oracle.py`` is the behavioural
+specification; :class:`~repro.noc.vector.VectorNetwork` (driven by
+:class:`~repro.noc.simulator.NocSimulator`) is the array-native engine the
+program runs.  On identical traffic the two must agree on *everything* the
 simulator reports: per-packet injection/ejection cycles, latency statistics
 (including the per-class split), throughput, per-node counters, stalled
 injections and the full per-router activity dictionaries.
 
 Both engines are driven from one pregenerated
-:class:`~repro.noc.schedule.TrafficSchedule` (the generators' numpy
-``schedule()`` path intentionally uses a different RNG stream, so parity
-comparisons always go through an explicit shared schedule).
+:class:`~repro.noc.schedule.TrafficSchedule`, replayed as a trace.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chips import get_configuration
+from repro.migration.transforms import make_transform
+from repro.migration.unit import MigrationUnit
 from repro.noc.schedule import TrafficSchedule
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import TraceTraffic, make_traffic
 from repro.noc.vector import VectorNetwork
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import noc_oracle  # noqa: E402
+from migration_oracle import tanner_nodes_per_pe  # noqa: E402
 
 PARITY_CONFIGS = [
     # (mesh, pattern, rate, cycles, warmup, routing, depth, kwargs)
@@ -42,7 +51,9 @@ def shared_trace(size, pattern, rate, horizon, seed=7, **kwargs):
     """One schedule both engines replay exactly."""
     topology = MeshTopology(size, size)
     generator = make_traffic(pattern, topology, injection_rate=rate, seed=seed, **kwargs)
-    schedule = TrafficSchedule.from_generator(generator, topology, horizon)
+    schedule = TrafficSchedule.from_generator(
+        noc_oracle.SeedTraffic(generator), topology, horizon
+    )
     return topology, schedule, TraceTraffic(schedule.trace_tuples(topology))
 
 
@@ -53,11 +64,15 @@ def shared_trace(size, pattern, rate, horizon, seed=7, **kwargs):
 )
 def test_engines_agree_exactly(size, pattern, rate, cycles, warmup, routing, depth, kwargs):
     topology, _, trace = shared_trace(size, pattern, rate, cycles + warmup, **kwargs)
-    results = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, routing=routing, buffer_depth=depth, engine=engine)
-        results[engine] = sim.run_traffic(trace, cycles=cycles, warmup_cycles=warmup)
-    obj, vec = results["object"], results["vector"]
+    obj = noc_oracle.run_traffic(
+        noc_oracle.Network(topology, routing=routing, buffer_depth=depth),
+        trace,
+        cycles=cycles,
+        warmup_cycles=warmup,
+    )
+    vec = NocSimulator(topology, routing=routing, buffer_depth=depth).run_traffic(
+        trace, cycles=cycles, warmup_cycles=warmup
+    )
 
     assert vec.cycles == obj.cycles
     assert vec.link_flits == obj.link_flits
@@ -85,12 +100,12 @@ def test_per_packet_cycles_and_ejection_order_match():
     by_cycle = {}
     for packet in object_packets:
         by_cycle.setdefault(packet.injection_cycle, []).append(packet)
-    sim = NocSimulator(topology, engine="object")
+    network = noc_oracle.Network(topology)
     for cycle in range(max(by_cycle) + 1):
         for packet in by_cycle.get(cycle, []):
-            sim.network.inject(packet)
-        sim.network.step()
-    sim.network.drain(max_cycles=50_000)
+            network.inject(packet)
+        network.step()
+    network.drain(max_cycles=50_000)
 
     vector_packets = schedule.to_packets(topology)
     net = VectorNetwork(
@@ -115,25 +130,23 @@ def test_per_packet_cycles_and_ejection_order_match():
 def test_stalled_injections_match_with_tiny_buffers():
     """Back-pressure bookkeeping matches when local buffers overflow."""
     topology, _, trace = shared_trace(4, "uniform", 0.6, 120)
-    results = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, buffer_depth=2, engine=engine)
-        results[engine] = sim.run_traffic(trace, cycles=120, warmup_cycles=0)
-    assert results["vector"].stats.stalled_injections > 0
-    assert (
-        results["vector"].stats.stalled_injections
-        == results["object"].stats.stalled_injections
+    obj = noc_oracle.run_traffic(
+        noc_oracle.Network(topology, buffer_depth=2), trace, cycles=120
     )
+    vec = NocSimulator(topology, buffer_depth=2).run_traffic(trace, cycles=120)
+    assert vec.stats.stalled_injections > 0
+    assert vec.stats.stalled_injections == obj.stats.stalled_injections
 
 
 def test_run_packets_parity():
     topology = MeshTopology(4, 4)
     generator = make_traffic("uniform", topology, injection_rate=0.3, seed=3)
-    packets = TrafficSchedule.from_generator(generator, topology, 60).to_packets(topology)
-    res = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, engine=engine)
-        batch = [
+    packets = TrafficSchedule.from_generator(
+        noc_oracle.SeedTraffic(generator), topology, 60
+    ).to_packets(topology)
+
+    def batch():
+        return [
             p.__class__(
                 source=p.source,
                 destination=p.destination,
@@ -143,10 +156,30 @@ def test_run_packets_parity():
             )
             for p in packets
         ]
-        res[engine] = sim.run_packets(batch)
-    assert res["vector"].cycles == res["object"].cycles
-    assert res["vector"].stats.latency == res["object"].stats.latency
-    assert res["vector"].router_activity == res["object"].router_activity
+
+    obj = noc_oracle.run_packets(noc_oracle.Network(topology), batch())
+    vec = NocSimulator(topology).run_packets(batch())
+    assert vec.cycles == obj.cycles
+    assert vec.stats.latency == obj.stats.latency
+    assert vec.router_activity == obj.router_activity
+
+
+def test_migration_replay_parity():
+    """A whole-chip X-Y shift's CONFIG packets on chip E drain identically."""
+    chip = get_configuration("E")
+    unit = MigrationUnit(chip.topology, library=chip.library)
+    transform = make_transform("xy-shift", chip.topology)
+    nodes = tanner_nodes_per_pe(chip)
+    obj = noc_oracle.run_packets(
+        noc_oracle.Network(chip.topology, buffer_depth=8),
+        unit.migration_packets(transform, nodes),
+        drain_limit=1_000_000,
+    )
+    vec = NocSimulator(chip.topology, buffer_depth=8).run_packets(
+        unit.migration_packets(transform, nodes), drain_limit=1_000_000
+    )
+    assert vec.cycles == obj.cycles
+    assert vec.stats.latency == obj.stats.latency
 
 
 class TestConservation:

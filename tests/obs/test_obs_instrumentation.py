@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.report import compare_scenarios
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.manifest import journal_path, report_path
 from repro.ldpc import TannerGraph, array_code_parity_matrix, make_decoder
-from repro.noc.schedule import TrafficSchedule
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import make_traffic
 from repro.noc.vector import VectorNetwork
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, all_scenarios, run_scenario
 from repro.scenarios import compile as compile_module
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.rc_model import build_thermal_network
@@ -100,7 +100,7 @@ class TestNocVectorEngine:
     def _engine(self, cycles=40):
         topology = MeshTopology(4, 4)
         generator = make_traffic("uniform", topology, injection_rate=0.1, seed=3)
-        schedule = TrafficSchedule.from_generator(generator, topology, cycles)
+        schedule = generator.schedule(cycles)
         return VectorNetwork(topology, [schedule, schedule])
 
     def test_run_and_drain_counters(self, enabled):
@@ -148,6 +148,66 @@ class TestScenarioTelemetry:
         result = run_scenario(cheap_spec())
         assert result.telemetry is None
         assert obs.get_registry().snapshot().empty
+
+
+#: Counters whose per-call amount is not 1; each rides along with a
+#: counter whose value is the call count.
+_AMOUNT_COUNTERS = {
+    "ldpc.decode_blocks",
+    "ldpc.decode_iterations",
+    "noc.vector.lane_cycles",
+}
+
+#: Instrument calls (counter adds, timer records, gauge sets and spans) in
+#: one warm run of the whole scenario registry. Each costs one attribute
+#: load and one branch while telemetry is off, so a new instrument inside a
+#: per-epoch loop shows up here as a jump of hundreds.
+REGISTRY_SUITE_INSTRUMENT_CALLS = 1993
+
+
+def instrument_calls(snapshot, span_events: int) -> int:
+    """Exact instrument-call count of the run a snapshot describes."""
+    calls = sum(
+        value
+        for name, value in snapshot.counters.items()
+        if name not in _AMOUNT_COUNTERS
+    )
+    # decode_blocks and decode_iterations are added once per decode batch,
+    # lane_cycles once per vector run or drain.
+    calls += 2 * snapshot.counters.get("ldpc.decode_batches", 0)
+    calls += snapshot.counters.get("noc.vector.runs", 0)
+    calls += snapshot.counters.get("noc.vector.drains", 0)
+    calls += sum(stats.get("count", 0) for stats in snapshot.timers.values())
+    calls += len(snapshot.gauges)
+    calls += span_events
+    return int(calls)
+
+
+class TestRegistrySuiteTelemetry:
+    def test_disabled_then_enabled_registry_suite(self):
+        specs = all_scenarios()
+        # The disabled run also warms every process-wide cache (chips,
+        # decoder probes, NoC cost models), so the count below does not
+        # depend on what ran earlier in the process.
+        compare_scenarios(specs)
+        assert obs.get_registry().snapshot().empty
+        assert len(obs.get_tracer()) == 0
+
+        obs.enable()
+        obs.start_tracing(clear=True)
+        compare_scenarios(specs)
+        snapshot = obs.get_registry().snapshot()
+        span_events = len(obs.get_tracer())
+
+        assert snapshot.counters.get("scenario.runs") == len(specs)
+        assert snapshot.counters.get("thermal.steady_solves", 0) > 0
+        assert span_events > 0
+        calls = instrument_calls(snapshot, span_events)
+        assert calls == REGISTRY_SUITE_INSTRUMENT_CALLS, (
+            f"{calls} instrument calls: counters {snapshot.counters}, "
+            f"timers {sorted(snapshot.timers)}, gauges {sorted(snapshot.gauges)}, "
+            f"{span_events} span events"
+        )
 
 
 class TestCampaignTelemetry:

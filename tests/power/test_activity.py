@@ -1,9 +1,11 @@
 """Tests for activity maps and the analytic route-based flit estimator."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.noc.flit import Packet
-from repro.noc.network import Network
 from repro.noc.routing import XYRouting
 from repro.power.activity import (
     ActivityMap,
@@ -11,6 +13,9 @@ from repro.power.activity import (
     activity_from_simulation,
     analytic_router_flits,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from noc_oracle import Network  # noqa: E402
 
 
 class TestUnitActivity:

@@ -373,6 +373,7 @@ class TestSingleSolveGuarantee:
         solver = compiled.configuration.thermal_model.solver
         steady_before = solver.steady_solve_count
         sequences_before = solver.transient_sequence_count
+        jumps_before = solver.spectral_jump_count
 
         run_scenario(compiled)
 
@@ -385,9 +386,30 @@ class TestSingleSolveGuarantee:
             solver.transient_sequence_count - sequences_before
             == expected_sequences
         )
+        # Spectral transients (ambient-scheduled or not) stay on the
+        # whole-trace jump: the affine boundary term costs no extra solve.
+        expected_jumps = int(
+            spec.mode == "transient" and spec.thermal_method == "spectral"
+        )
+        assert solver.spectral_jump_count - jumps_before == expected_jumps
+
+    def test_ambient_swing_rides_one_spectral_jump(self):
+        spec = get_scenario("ambient-swing-transient")
+        assert spec.mode == "transient" and spec.thermal_method == "spectral"
+        solver = get_configuration(spec.configuration).thermal_model.solver
+        sequences_before = solver.transient_sequence_count
+        jumps_before = solver.spectral_jump_count
+        result = run_scenario(spec)
+        assert solver.transient_sequence_count - sequences_before == 1
+        assert solver.spectral_jump_count - jumps_before == 1
+        # The schedule spans ~11 C: the low-passed die moves with it.
+        peaks = [record.thermal.peak_celsius for record in result.experiment.epochs]
+        assert max(peaks) - min(peaks) > 1.0
 
     def test_registry_covers_feedback_policies(self):
         compiled = [compile_scenario(spec) for spec in all_scenarios()]
+        assert len(compiled) >= 8
+        assert {c.spec.mode for c in compiled} == {"steady", "transient"}
         feedback = [c for c in compiled if c.uses_thermal_feedback]
         assert len(feedback) >= 2
         assert {c.spec.mode for c in feedback} == {"steady", "transient"}

@@ -6,6 +6,8 @@ experiment, restores the newest intact checkpoint and replays the producer —
 and the final numbers are *bit-identical* to the uninterrupted run.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,32 @@ class TestStreamSemantics:
         )
         assert [u.outcome.num_epochs for u in updates] == [10, 10, 4]
         assert engine.summary.epochs == 24
+
+    def test_ten_times_longer_stream_allocates_like_one(self):
+        """Every per-epoch structure is windowed, drained or folded into
+        rolling aggregates: the allocation watermark while streaming (set
+        up excluded) grows by less than 2x from a 48-epoch stream to a
+        480-epoch one, where a per-epoch leak would grow it ~10x."""
+        compiled = compile_scenario(
+            _spec(scheme="xy-shift", policy_params={}, num_epochs=48, settle_epochs=8)
+        )
+
+        def streamed_peak(total_epochs):
+            engine = StreamingExperiment.from_scenario(compiled)
+            engine.prepare()
+            windows = scenario_windows(compiled, 8, max_epochs=total_epochs)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                for _update in engine.process(windows, max_epochs=total_epochs):
+                    pass
+                engine.finalize()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed_peak(48)  # warm every process-wide cache first
+        assert streamed_peak(480) < 2.0 * streamed_peak(48)
 
     def test_constant_memory_invariant(self):
         # Per-epoch logs are folded into counters every window: nothing on

@@ -97,8 +97,8 @@ class TestMidPlanResume:
         assert resumed.migrations_performed == reference.migrations_performed
         assert resumed.throughput_penalty == reference.throughput_penalty
         assert (
-            resumed_engine.experiment.controller.current_mapping.to_permutation()
-            == reference_engine.experiment.controller.current_mapping.to_permutation()
+            resumed_engine.experiment.controller.current_permutation.tolist()
+            == reference_engine.experiment.controller.current_permutation.tolist()
         )
 
     def test_staged_stream_matches_batch_run(self):

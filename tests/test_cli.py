@@ -261,60 +261,6 @@ class TestCampaignCommand:
         assert "no report.json" in capsys.readouterr().err
 
 
-class TestPerfTrendCommand:
-    PAYLOAD = {
-        "schema": 2,
-        "hot_paths": {"x.y": {"wall_s": 0.01}},
-        "history": [
-            {
-                "git_sha": "aaa111",
-                "timestamp_utc": "2026-01-01T00:00:00Z",
-                "hot_paths": {
-                    "x.y": {"wall_s": 0.02, "throughput": 50.0,
-                            "throughput_unit": "items/s"}
-                },
-            },
-            {
-                "git_sha": "bbb222",
-                "timestamp_utc": "2026-02-01T00:00:00Z",
-                "hot_paths": {"x.y": {"wall_s": 0.01, "speedup": 2.0}},
-            },
-        ],
-    }
-
-    def test_renders_history(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["perf-trend", "--path", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "x.y" in out
-        assert "aaa111" in out and "bbb222" in out
-        assert "-50%" in out  # 20 ms -> 10 ms between snapshots
-
-    def test_missing_file_is_an_error(self, capsys, tmp_path):
-        assert main(["perf-trend", "--path", str(tmp_path / "nope.json")]) == 1
-        assert "run `pytest benchmarks/`" in capsys.readouterr().err
-
-    def test_benchmark_filter_unknown(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["perf-trend", "--path", str(path), "-b", "zzz"]) == 1
-        assert "no benchmark matching" in capsys.readouterr().err
-
-    def test_csv_rows(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["--csv", "perf-trend", "--path", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("benchmark,")
-
-
 class TestServeCommand:
     def test_scenario_stream_emits_jsonl(self, capsys):
         assert main(["serve", "steady-baseline", "--window", "20"]) == 0
